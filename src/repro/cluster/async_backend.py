@@ -39,21 +39,21 @@ learned values preserved, joiners start from the current server state.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
-from ..solvers.base import KernelFactory
+from ..objectives.ridge import gap_and_objective
 from .comm import SimCommunicator
-from .partition import random_partition
-from .runtime import PermutationStream, RoundOutcome, scatter_weights
-from .smart_partition import load_proportional_partition
+from .runtime import BoundWorker, RoundOutcome, WorkerBinder, scatter_weights
 
 __all__ = ["AsyncParamServerBackend"]
 
 
 class AsyncParamServerBackend:
     """CommBackend running the asynchronous parameter-server schedule.
+
+    Workers are bound by the engine's :class:`~repro.cluster.runtime.WorkerBinder`
+    (the same partitions and kernels as the synchronous pool); on top of
+    that the server keeps one pulled snapshot per worker.
 
     batch_fraction:
         Fraction of a worker's local coordinates per push/pull batch.
@@ -76,15 +76,11 @@ class AsyncParamServerBackend:
     def __init__(
         self,
         comm: SimCommunicator,
-        factory_for: Callable[[int], KernelFactory],
-        formulation: str,
+        binder: WorkerBinder,
         *,
         batch_fraction: float = 1 / 16,
         comm_overlap: float = 0.9,
         staleness_bound: int = 0,
-        paper_scale=None,
-        seed: int = 0,
-        on_label: Callable[[str], None] | None = None,
     ) -> None:
         if not 0.0 < batch_fraction <= 1.0:
             raise ValueError("batch_fraction must be in (0, 1]")
@@ -93,86 +89,31 @@ class AsyncParamServerBackend:
         if staleness_bound < 0:
             raise ValueError("staleness_bound must be >= 0")
         self.comm = comm
-        self.factory_for = factory_for
-        self.formulation = formulation
+        self.binder = binder
         self.batch_fraction = float(batch_fraction)
         self.comm_overlap = float(comm_overlap)
         self.staleness_bound = int(staleness_bound)
-        self.paper_scale = paper_scale
-        self.seed = int(seed)
-        self.on_label = on_label
         self.cycles_per_epoch = int(np.ceil(1.0 / self.batch_fraction))
-        self.workers: list[dict] = []
+        self.workers: list[BoundWorker] = []
+        #: each worker's last pulled view of the server state (None: pull
+        #: at its next batch)
+        self._snapshots: list[np.ndarray | None] = []
         self._stale: list[int] = []
         #: cumulative modelled seconds; per-cycle accumulation order matches
         #: the retired engine's ``sim_time += cycle_s`` bitwise
         self.sim_seconds = 0.0
         self._compute_component = "compute_host"
         self._generation = 0
-        self._problem = None
 
     @property
     def n_workers(self) -> int:
         return len(self.workers) if self.workers else self.comm.n_workers
 
-    # -- construction (mirrors the retired engine's _build exactly) ---------
-    def _matrix_and_total(self, problem):
-        if self.formulation == "primal":
-            return problem.dataset.csc, problem.m
-        return problem.dataset.csr, problem.n
-
-    def _bind_worker(
-        self, rank: int, coords: np.ndarray, matrix, n_total: int,
-        total_nnz: int, problem, rng_offset: int, weights=None,
-    ) -> dict:
-        local = matrix.take_major(coords)
-        factory = self.factory_for(rank)
-        if self.paper_scale is not None:
-            factory.timing_workload = self.paper_scale.worker_workload(
-                self.formulation,
-                coords.shape[0] / n_total,
-                (local.nnz / total_nnz) if total_nnz else 0.0,
-            )
-        if self.formulation == "primal":
-            bound = factory.bind_primal(local, problem.y, problem.n, problem.lam)
-        else:
-            bound = factory.bind_dual(
-                local, problem.y[coords], problem.n, problem.lam
-            )
-        if self.on_label is not None:
-            self.on_label(factory.name)
-        rng = np.random.default_rng(self.seed + rng_offset + rank)
-        if weights is None:
-            w = np.zeros(coords.shape[0], dtype=bound.dtype)
-        else:
-            w = weights[coords].astype(bound.dtype)
-        return {
-            "coords": coords,
-            "bound": bound,
-            "weights": w,
-            "rng": rng,
-            # shares ``rng`` with the kernel, like the sync runtime
-            "stream": PermutationStream(coords.shape[0], rng),
-            "snapshot": None,
-            "epoch_seconds": bound.epoch_seconds(),
-        }
-
     def install(self, tracer) -> None:
         self.comm.metrics = tracer.metrics if tracer.enabled else None
 
     def open(self, problem, tracer) -> None:
-        self._problem = problem
-        rng = np.random.default_rng(self.seed)
-        matrix, n_total = self._matrix_and_total(problem)
-        parts = random_partition(n_total, self.comm.n_workers, rng)
-        total_nnz = matrix.nnz
-        self.workers = [
-            self._bind_worker(
-                rank, coords, matrix, n_total, total_nnz, problem, 2000
-            )
-            for rank, coords in enumerate(parts)
-        ]
-        self._stale = [0] * len(self.workers)
+        self._bind(problem, tracer, self.comm.n_workers)
 
     # -- elastic membership -------------------------------------------------
     def resize(self, problem, tracer, n_workers: int, capacities=None) -> int:
@@ -184,42 +125,31 @@ class AsyncParamServerBackend:
         fresh snapshot pulled at its next batch.  Staleness counters reset —
         a repartition is a synchronization point.
         """
-        matrix, n_total = self._matrix_and_total(problem)
-        global_w = scatter_weights(
-            ((wk["coords"], wk["weights"]) for wk in self.workers), n_total
-        )
+        weights = self.global_weights(problem)
         self._generation += 1
-        rng = np.random.default_rng(
-            self.seed + 7_000_000 + 10_000 * self._generation
-        )
-        if capacities is not None:
-            parts = load_proportional_partition(n_total, capacities, rng)
-        else:
-            parts = random_partition(n_total, n_workers, rng)
-        total_nnz = matrix.nnz
-        self.workers = [
-            self._bind_worker(
-                rank, coords, matrix, n_total, total_nnz, problem,
-                2000 + 100_000 * self._generation, weights=global_w,
-            )
-            for rank, coords in enumerate(parts)
-        ]
-        self.comm.n_workers = len(self.workers)
-        self._stale = [0] * len(self.workers)
+        self._bind(problem, tracer, n_workers, capacities, weights)
         return 0  # pushes are atomic: no buffered updates to invalidate
 
+    def _bind(self, problem, tracer, n_workers, capacities=None, weights=None):
+        self.workers = self.binder.plan(
+            problem, n_workers, self._generation, capacities
+        ).bind_all(problem, weights=weights, tracer=tracer)
+        self.comm.n_workers = len(self.workers)
+        self._snapshots = [None] * len(self.workers)
+        self._stale = [0] * len(self.workers)
+
     def partition_sizes(self) -> list[int]:
-        return [wk["coords"].shape[0] for wk in self.workers]
+        return [wk.coords.shape[0] for wk in self.workers]
 
     # -- the asynchronous epoch ---------------------------------------------
     def run_round(
         self, epoch, shared, plan, report, policy, ledger, comm_bytes, needs_stats
     ) -> RoundOutcome:
         out = RoundOutcome()
-        workers = self.workers
-        for wk in workers:
-            if wk["snapshot"] is None:
-                wk["snapshot"] = shared.copy()
+        workers, snapshots = self.workers, self._snapshots
+        for rank, snapshot in enumerate(snapshots):
+            if snapshot is None:
+                snapshots[rank] = shared.copy()
         active = [
             rank
             for rank in range(len(workers))
@@ -239,15 +169,14 @@ class AsyncParamServerBackend:
             any_pull = False
             for rank in active:
                 wk = workers[rank]
-                bound = wk["bound"]
+                bound = wk.bound
                 n_batch = max(
-                    1,
-                    int(round(self.batch_fraction * wk["coords"].shape[0])),
+                    1, int(round(self.batch_fraction * wk.coords.shape[0]))
                 )
-                perm = wk["stream"].take(n_batch)
-                local_view = wk["snapshot"].astype(bound.dtype)
+                perm = wk.stream.take(n_batch)
+                local_view = snapshots[rank].astype(bound.dtype)
                 before = local_view.copy()
-                bound.run_epoch(wk["weights"], local_view, perm, wk["rng"])
+                bound.run_epoch(wk.weights, local_view, perm, wk.rng)
                 delta = local_view.astype(np.float64) - before.astype(np.float64)
                 # push: atomic server-side application (all updates land)
                 shared += delta
@@ -256,7 +185,7 @@ class AsyncParamServerBackend:
                         self._stale[other] += 1
                 if self._stale[rank] > self.staleness_bound:
                     # pull: fresh snapshot for the worker's next batch
-                    wk["snapshot"] = shared.copy()
+                    snapshots[rank] = shared.copy()
                     self._stale[rank] = 0
                     any_pull = True
                 else:
@@ -264,8 +193,8 @@ class AsyncParamServerBackend:
                     # the worker's own delta (it computed it) into the stale
                     # snapshot; with bound=0 this branch is reached only when
                     # no other push intervened, where it equals a pull
-                    wk["snapshot"] = wk["snapshot"] + delta
-                batch_s = wk["epoch_seconds"] * self.batch_fraction
+                    snapshots[rank] = snapshots[rank] + delta
+                batch_s = wk.epoch_seconds * self.batch_fraction
                 if plan is not None:
                     batch_s *= plan[rank].straggler_multiplier
                 max_batch = max(max_batch, batch_s)
@@ -298,16 +227,14 @@ class AsyncParamServerBackend:
 
     # -- monitoring ----------------------------------------------------------
     def global_weights(self, problem) -> np.ndarray:
-        n_coords = problem.m if self.formulation == "primal" else problem.n
         return scatter_weights(
-            ((wk["coords"], wk["weights"]) for wk in self.workers), n_coords
+            ((wk.coords, wk.weights) for wk in self.workers),
+            self.binder.n_coords(problem),
         )
 
     def gap_objective(self, problem) -> tuple[float, float]:
-        from ..objectives.ridge import gap_and_objective
-
         return gap_and_objective(
-            problem, self.global_weights(problem), self.formulation
+            problem, self.global_weights(problem), self.binder.formulation
         )
 
     def global_model(self, problem, shared: np.ndarray) -> np.ndarray:

@@ -8,24 +8,27 @@ each worker in its own ``multiprocessing`` process, communicating
 shared-vector deltas over pipes: true parallel execution with real
 synchronization.
 
-Because both backends run identical kernels with identical precompute and
-permutation streams (same seeds, same partitioner), their trajectories must
-agree *bitwise*; ``tests/test_runtime.py`` (cross-backend parity) and
-``tests/test_mp_cluster.py`` assert exactly that, which is the strongest
-available check that the simulated engine's *semantics* (as opposed to its
-time model) are faithful.
+The parent cuts the partition with the engine's partitioner and sends
+each child only its rank's slice, which the child binds through the same
+:class:`~repro.cluster.runtime.WorkerBinder` as the simulated pool — the
+same :class:`~repro.solvers.scd.SequentialKernelFactory` precompute, seeds
+and :class:`~repro.cluster.runtime.PermutationStream` — so the two
+backends' trajectories must agree *bitwise*; ``tests/test_runtime.py``
+(cross-backend parity) and ``tests/test_mp_cluster.py`` assert exactly
+that, which is the strongest available check that the simulated engine's
+*semantics* (as opposed to its time model) are faithful.
 
 Scope: sequential-SCD local solvers (the paper's CPU cluster), both
 formulations, averaging/adaptive/adding aggregation.  The GPU solvers stay
 simulation-only — their device model has no OS-process counterpart.
 
 Shard stores: a ``shards=`` argument aligns the worker partitions to the
-store's contiguous shard groups and builds each child's payload by
-assembling its group from disk (bit-identical to ``take_major`` over the
-same coordinates).  Streaming stops there — child processes hold their
-materialized partition for the whole run, because per-epoch re-reads only
-exist to *model* cache pressure and real processes have no simulated
-clock to bill them against.
+store's contiguous shard groups and the parent assembles each child's
+group from disk (bit-identical to ``take_major`` over the same
+coordinates).
+Streaming stops there — child processes hold their materialized partition
+for the whole run, because per-epoch re-reads only exist to *model* cache
+pressure and real processes have no simulated clock to bill them against.
 
 Fault injection: the backend honours the *functional* faults of a
 :class:`~repro.cluster.faults.FaultInjector` — worker dropout (the child is
@@ -40,16 +43,12 @@ the simulated engine's degraded-mode *semantics* against real processes.
 from __future__ import annotations
 
 import multiprocessing as mp
-import time
-from typing import Sequence
-
-import numpy as np
 
 from ..core.aggregation import make_aggregator
 from ..core.distributed import DistributedTrainResult
-from ..objectives.ridge import RidgeProblem, gap_and_objective
+from ..objectives.ridge import RidgeProblem
 from ..shards import ShardingConfig, ShardStore
-from ..solvers.kernels import dual_epoch_sequential, primal_epoch_sequential
+from ..solvers.scd import SequentialKernelFactory
 from .faults import FaultInjector, FaultSpec, make_fault_injector
 from .partition import random_partition
 from .runtime import (
@@ -57,7 +56,7 @@ from .runtime import (
     FaultPolicy,
     PipeProcessBackend,
     RuntimeProfile,
-    plan_partitions,
+    WorkerBinder,
 )
 
 __all__ = ["MpDistributedSCD"]
@@ -71,61 +70,9 @@ _MP_PROFILE = RuntimeProfile(
 )
 
 
-def _worker_loop(conn, payload: dict) -> None:
-    """Child process: bind the local partition, then serve epoch requests.
-
-    Protocol: parent sends ``("epoch", shared_vector)`` and receives
-    ``(dshared, dweights_stats, elapsed_s)``; ``("stop", None)`` exits.
-    """
-    formulation = payload["formulation"]
-    indptr = payload["indptr"]
-    indices = payload["indices"]
-    data = payload["data"]
-    y = payload["y"]
-    n_global = payload["n_global"]
-    lam = payload["lam"]
-    n_local = payload["n_local"]
-    rng = np.random.default_rng(payload["perm_seed"])
-    weights = np.zeros(n_local)
-
-    nlam = n_global * lam
-    # precomputed by the parent through the same matrix routines the
-    # simulated factory binds with, so both backends run bitwise-identical
-    # kernels (a per-row dot product here would differ in the last ulp)
-    y_dots = payload["y_dots"]
-    inv_denom = payload["inv_denom"]
-
-    while True:
-        msg, shared = conn.recv()
-        if msg == "stop":
-            conn.close()
-            return
-        t0 = time.perf_counter()
-        local_shared = shared.copy()
-        weights_work = weights.copy()
-        perm = rng.permutation(n_local)
-        if formulation == "primal":
-            primal_epoch_sequential(
-                indptr, indices, data, y_dots, inv_denom, nlam,
-                weights_work, local_shared, perm,
-            )
-        else:
-            dual_epoch_sequential(
-                indptr, indices, data, y, inv_denom, lam, nlam,
-                weights_work, local_shared, perm,
-            )
-        dweights = weights_work - weights
-        stats = (
-            float(weights @ dweights),
-            float(dweights @ dweights),
-            float(dweights @ y[:n_local]) if formulation == "dual" else 0.0,
-        )
-        elapsed = time.perf_counter() - t0
-        conn.send((local_shared - shared, dweights, stats, elapsed))
-        # the parent applies gamma and returns it with the next epoch's
-        # broadcast; fold the previous delta lazily
-        gamma = conn.recv()
-        weights = weights + gamma * dweights
+def _sequential_factory(rank: int) -> SequentialKernelFactory:
+    # module-level so spawn-context children can unpickle the binder
+    return SequentialKernelFactory()
 
 
 class MpDistributedSCD:
@@ -171,81 +118,11 @@ class MpDistributedSCD:
         #: elastic membership is simulation-only; a non-None schedule makes
         #: ClusterRuntime raise its pointed not-supported error at build time
         self.membership = membership
-        self._groups: list[list[int]] | None = None
         self._ctx = mp.get_context(mp_context) if mp_context else mp.get_context()
         self.name = (
             f"MpDistributed[SCD x{self.n_workers}, "
             f"{self.aggregator.name}, {formulation}]"
         )
-
-    # -- helpers ------------------------------------------------------------
-    def _partitions(self, problem: RidgeProblem) -> list[np.ndarray]:
-        n_coords = problem.m if self.formulation == "primal" else problem.n
-        if self.shards is not None:
-            store = self.shards.store
-            if store.n_major != n_coords:
-                raise ValueError(
-                    f"shard set covers {store.n_major} coordinates, "
-                    f"problem has {n_coords}"
-                )
-            self._groups = store.partition(self.n_workers)
-            return [store.coords_of(g) for g in self._groups]
-        return plan_partitions(
-            n_coords, self.n_workers, self.seed, self.partitioner, None, (0, 0)
-        )[0]
-
-    def _payloads(self, problem: RidgeProblem, parts: Sequence[np.ndarray]):
-        if self.formulation == "primal":
-            matrix = problem.dataset.csc
-        else:
-            matrix = problem.dataset.csr
-        if self.shards is not None and self.shards.store.shape != matrix.shape:
-            raise ValueError(
-                f"shard set covers a {self.shards.store.shape} matrix, "
-                f"problem matrix is {matrix.shape}"
-            )
-        payloads = []
-        for rank, coords in enumerate(parts):
-            if self._groups is not None:
-                # materialize the child's partition straight from the shard
-                # store; contiguous-group assembly is bitwise identical to
-                # take_major over the same coordinates
-                local, _ = self.shards.store.assemble(self._groups[rank])
-            else:
-                local = matrix.take_major(coords)
-            if local.dtype != np.float64:
-                local = local.astype(np.float64)
-            y_local = (
-                problem.y.astype(np.float64)
-                if self.formulation == "primal"
-                else problem.y[coords].astype(np.float64)
-            )
-            nlam = problem.n * problem.lam
-            # identical precompute path to SequentialKernelFactory.bind_*:
-            # the matrix-level reductions, not per-row dot products, so a
-            # child's kernel inputs match the simulated worker's bitwise
-            if self.formulation == "primal":
-                y_dots = local.rmatvec(y_local)
-                inv_denom = 1.0 / (local.col_norms_sq() + nlam)
-            else:
-                y_dots = None
-                inv_denom = 1.0 / (nlam + local.row_norms_sq())
-            payloads.append(
-                {
-                    "formulation": self.formulation,
-                    "indptr": local.indptr,
-                    "indices": local.indices,
-                    "data": local.data,
-                    "y": y_local,
-                    "y_dots": y_dots,
-                    "inv_denom": inv_denom,
-                    "n_global": problem.n,
-                    "lam": problem.lam,
-                    "n_local": coords.shape[0],
-                    "perm_seed": self.seed + 1000 + rank,
-                }
-            )
-        return payloads
 
     # -- training ------------------------------------------------------------------
     def solve(
@@ -258,18 +135,17 @@ class MpDistributedSCD:
         tracer=None,
         on_epoch=None,
     ) -> DistributedTrainResult:
-        parts = self._partitions(problem)
-        payloads = self._payloads(problem, parts)
+        plan = WorkerBinder(
+            formulation=self.formulation,
+            factory_for=_sequential_factory,
+            seed=self.seed,
+            # the simulated pool's offset: both backends replay one trajectory
+            rng_base=1000,
+            partitioner=self.partitioner,
+            shards=self.shards,
+        ).plan(problem, self.n_workers)
         shared_len = problem.n if self.formulation == "primal" else problem.m
-        n_model = problem.m if self.formulation == "primal" else problem.n
-        backend = PipeProcessBackend(
-            ctx=self._ctx,
-            worker_target=_worker_loop,
-            payloads=payloads,
-            parts=list(parts),
-            n_model_coords=n_model,
-            gap_fn=lambda w: gap_and_objective(problem, w, self.formulation),
-        )
+        backend = PipeProcessBackend(ctx=self._ctx, plan=plan)
         runtime = ClusterRuntime(
             backend=backend,
             aggregator=self.aggregator,
@@ -296,11 +172,11 @@ class MpDistributedSCD:
         )
         return DistributedTrainResult(
             formulation=self.formulation,
-            weights=backend.global_weights(),
+            weights=backend.global_weights(problem),
             shared=rt.shared,
             history=rt.history,
             ledger=rt.ledger,
-            partitions=list(parts),
+            partitions=list(plan.parts),
             solver_name=self.name,
             gammas=rt.gammas,
             fault_report=rt.report,

@@ -8,8 +8,11 @@ pluggable seams, and the engine classes (`DistributedSCD`, `DistributedSvm`,
 `MpDistributedSCD`) become thin facades that assemble a runtime from parts:
 
 * **Partitioner** — :func:`plan_partitions`: feature/example random (or
-  custom) partitions, or shard-group-aligned partitions for out-of-core
-  stores;
+  custom, or capacity-proportional) partitions, or shard-group-aligned
+  partitions for out-of-core stores, for generation 0 and every elastic
+  repartition after it; :class:`WorkerBinder` binds each rank of such a
+  plan to its kernel and generation-salted RNG (:func:`worker_rng`) for
+  every SCD backend — in-process, asynchronous and real-process alike;
 * **CommBackend** — :class:`InProcessBackend` (workers execute in-process,
   communication priced by :class:`~repro.cluster.comm.SimCommunicator`) vs
   :class:`PipeProcessBackend` (real ``multiprocessing`` workers over pipes,
@@ -50,16 +53,17 @@ from __future__ import annotations
 
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Iterable, Protocol, Sequence
 
 import numpy as np
 
 from ..core.aggregation import AggregationStats, Aggregator
 from ..metrics import ConvergenceHistory, ConvergenceRecord
+from ..objectives.ridge import gap_and_objective
 from ..obs import resolve_tracer
-from ..shards import ShardingConfig
-from ..solvers.base import EpochEvent
+from ..shards import ShardingConfig, ShardStreamer
+from ..solvers.base import BoundKernel, EpochEvent
 from .comm import SimCommunicator
 from .faults import (
     DEFAULT_RETRY,
@@ -68,6 +72,8 @@ from .faults import (
     RetryPolicy,
     WorkerEpochFaults,
 )
+from .partition import random_partition
+from .smart_partition import load_proportional_partition
 
 __all__ = [
     "ClusterRuntime",
@@ -81,7 +87,12 @@ __all__ = [
     "WorkerUpdate",
     "RoundOutcome",
     "PermutationStream",
+    "BoundWorker",
+    "PartitionPlan",
+    "RankSlice",
+    "WorkerBinder",
     "plan_partitions",
+    "worker_rng",
     "scatter_weights",
     "shared_sizing",
 ]
@@ -138,12 +149,20 @@ def plan_partitions(
     partitioner: Callable[[int, int, np.random.Generator], Sequence[np.ndarray]],
     shards: ShardingConfig | None,
     matrix_shape: tuple[int, int],
+    *,
+    generation: int = 0,
+    capacities: Sequence[float] | None = None,
 ) -> tuple[list[np.ndarray], list[list[int]] | None]:
-    """The Partitioner seam.
+    """The Partitioner seam: who owns which coordinates in one generation.
 
     Returns ``(parts, groups)``: the per-worker coordinate arrays and, for
     out-of-core runs, the contiguous shard groups they are aligned to
-    (``None`` for in-memory runs).
+    (``None`` for in-memory runs).  Generation 0 is the initial partition,
+    drawn from ``seed``; generation ``g > 0`` is an elastic repartition,
+    drawn from a generation-salted seed so it never replays an earlier
+    draw.  Out-of-core runs always stay shard-aligned; in-memory runs use
+    measured ``capacities`` (load-proportional) when given, else
+    ``partitioner``.
     """
     if shards is not None:
         store = shards.store
@@ -154,8 +173,246 @@ def plan_partitions(
             )
         groups = store.partition(n_workers)
         return [store.coords_of(g) for g in groups], groups
-    rng = np.random.default_rng(seed)
-    return list(partitioner(n_coords, n_workers, rng)), None
+    rng = np.random.default_rng(
+        seed + 7_000_000 + 10_000 * generation if generation else seed
+    )
+    if capacities is not None:
+        return load_proportional_partition(n_coords, capacities, rng), None
+    parts = list(partitioner(n_coords, n_workers, rng))
+    if any(len(p) == 0 for p in parts):
+        # a worker's permutation stream cannot advance over zero coordinates
+        raise ValueError("the partitioner returned an empty part")
+    return parts, None
+
+
+def worker_rng(
+    seed: int, base: int, rank: int, generation: int = 0
+) -> np.random.Generator:
+    """Rank ``rank``'s RNG in generation ``generation``.
+
+    ``base`` separates engines that share a seed; the generation salt keeps
+    a reborn rank from replaying the stream of the departed rank that held
+    its id before a repartition.
+    """
+    return np.random.default_rng(seed + base + rank + 100_000 * generation)
+
+
+@dataclass
+class BoundWorker:
+    """One rank's local solver bound to the coordinates it owns."""
+
+    formulation: str
+    coords: np.ndarray
+    bound: BoundKernel
+    #: the rank's slice of the model, in the kernel's dtype
+    weights: np.ndarray
+    y_local: np.ndarray
+    rng: np.random.Generator
+    #: chained permutations over the local coordinates; shares ``rng`` with
+    #: the kernel so the draw order matches the single stream the paper uses
+    stream: PermutationStream
+    #: modelled seconds of one full local epoch
+    epoch_seconds: float
+    #: out-of-core data path for this rank's shard group (None = in-memory)
+    streamer: ShardStreamer | None = None
+
+    def local_round(
+        self, shared: np.ndarray, fraction: float = 1.0
+    ) -> tuple[np.ndarray, np.ndarray, int]:
+        """Run ``fraction`` of a local epoch against a copy of ``shared``.
+
+        Returns float64 ``(dshared, dmodel, n_updates)``; the local model is
+        untouched until :meth:`fold`.
+        """
+        local_shared = shared.astype(self.bound.dtype)
+        weights_work = self.weights.copy()
+        perm = self.stream.take(max(1, int(round(fraction * self.coords.shape[0]))))
+        self.bound.run_epoch(weights_work, local_shared, perm, self.rng)
+        return (
+            local_shared.astype(np.float64) - shared,
+            (weights_work - self.weights).astype(np.float64),
+            perm.shape[0],
+        )
+
+    def delivery_stats(self, dmodel: np.ndarray) -> tuple[float, float, float]:
+        """Algorithm 4 worker scalars ``(<w, dw>, ||dw||^2, <dw, y_k>)``."""
+        dy = 0.0
+        if self.formulation == "dual":
+            dy = float(dmodel @ self.y_local.astype(np.float64))
+        return (
+            float(self.weights.astype(np.float64) @ dmodel),
+            float(dmodel @ dmodel),
+            dy,
+        )
+
+    def fold(self, gamma: float, dmodel: np.ndarray) -> None:
+        self.weights = (self.weights.astype(np.float64) + gamma * dmodel).astype(
+            self.bound.dtype
+        )
+
+
+@dataclass
+class WorkerBinder:
+    """An engine's recipe for binding K-worker pools, generation after generation.
+
+    One instance holds everything that decides who owns which coordinates,
+    with which RNG, bound to which kernel; :meth:`plan` cuts one
+    generation's partition and :meth:`PartitionPlan.bind` binds one rank of
+    it.  The simulated SCD pool, the asynchronous parameter server and the
+    real-process children all bind through here.
+    """
+
+    formulation: str
+    factory_for: Callable[[int], Any]
+    seed: int
+    #: worker-seed offset of the engine (see :func:`worker_rng`)
+    rng_base: int
+    partitioner: Callable = random_partition
+    shards: ShardingConfig | None = None
+    paper_scale: Any = None
+    #: called with each bound factory's name (the engine's solver label)
+    on_label: Callable[[str], None] | None = None
+
+    def matrix(self, problem):
+        """The major-axis layout the formulation partitions."""
+        return problem.dataset.csc if self.formulation == "primal" else problem.dataset.csr
+
+    def n_coords(self, problem) -> int:
+        return problem.m if self.formulation == "primal" else problem.n
+
+    def plan(
+        self, problem, n_workers: int, generation: int = 0, capacities=None
+    ) -> "PartitionPlan":
+        parts, groups = plan_partitions(
+            self.n_coords(problem), n_workers, self.seed, self.partitioner,
+            self.shards, self.matrix(problem).shape,
+            generation=generation, capacities=capacities,
+        )
+        return PartitionPlan(self, parts, groups, generation)
+
+    def bind(
+        self, sl: "RankSlice", *, weights=None, streamer=None, tracer=None
+    ) -> BoundWorker:
+        """Bind one rank's slice to its kernel and generation-salted RNG."""
+        factory = self.factory_for(sl.rank)
+        if tracer is not None and tracer.enabled:
+            # device factories forward the tracer to their wave engines
+            factory.tracer = tracer
+        if streamer is not None:
+            # device factories skip the bulk dataset allocation: the shard
+            # cache books residency against device memory instead
+            factory.out_of_core = True
+        if self.paper_scale is not None:
+            factory.timing_workload = self.paper_scale.worker_workload(
+                self.formulation, sl.coord_share, sl.nnz_share
+            )
+        if self.formulation == "primal":
+            bound = factory.bind_primal(sl.local, sl.y, sl.n, sl.lam)
+        else:
+            bound = factory.bind_dual(sl.local, sl.y, sl.n, sl.lam)
+        if streamer is not None:
+            device = getattr(factory, "device", None)
+            if device is not None:
+                # residency competes with the solver's vectors on-device;
+                # attach after bind so the reset device is the budget
+                streamer.attach_device(device.memory)
+        if self.on_label is not None:
+            self.on_label(factory.name)
+        rng = worker_rng(self.seed, self.rng_base, sl.rank, sl.generation)
+        n_local = sl.coords.shape[0]
+        return BoundWorker(
+            formulation=self.formulation,
+            coords=sl.coords,
+            bound=bound,
+            weights=(
+                np.zeros(n_local, dtype=bound.dtype)
+                if weights is None
+                else weights[sl.coords].astype(bound.dtype)
+            ),
+            y_local=sl.y.astype(bound.dtype, copy=False),
+            rng=rng,
+            stream=PermutationStream(n_local, rng),
+            epoch_seconds=bound.epoch_seconds(),
+            streamer=streamer,
+        )
+
+
+@dataclass
+class RankSlice:
+    """The part of a problem one rank binds from: small and picklable.
+
+    A real-process child receives only this, never the whole problem or
+    the engine's partitioner.
+    """
+
+    rank: int
+    generation: int
+    coords: np.ndarray
+    #: the rank's columns (primal) or rows (dual) of the data matrix
+    local: Any
+    #: the labels the kernel reads: all of ``y`` (primal) or ``y[coords]``
+    y: np.ndarray
+    n: int
+    lam: float
+    #: the rank's shares of the coordinates and of the nonzeros
+    coord_share: float
+    nnz_share: float
+
+
+@dataclass
+class PartitionPlan:
+    """One generation's partition, ready to bind rank by rank."""
+
+    binder: WorkerBinder
+    parts: list[np.ndarray]
+    #: contiguous shard groups of an out-of-core run (None = in-memory)
+    groups: list[list[int]] | None
+    generation: int = 0
+
+    @property
+    def n_workers(self) -> int:
+        return len(self.parts)
+
+    def slice(
+        self, problem, rank: int, tracer=None
+    ) -> tuple[RankSlice, ShardStreamer | None]:
+        """Cut rank ``rank``'s data out of ``problem`` (from disk if sharded)."""
+        b = self.binder
+        coords = self.parts[rank]
+        matrix = b.matrix(problem)
+        streamer = None
+        if self.groups is not None:
+            streamer = ShardStreamer(
+                b.shards, self.groups[rank], tracer=tracer, worker=rank
+            )
+            local = streamer.assemble()
+        else:
+            local = matrix.take_major(coords)
+        return (
+            RankSlice(
+                rank=rank,
+                generation=self.generation,
+                coords=coords,
+                local=local,
+                y=problem.y if b.formulation == "primal" else problem.y[coords],
+                n=problem.n,
+                lam=problem.lam,
+                coord_share=coords.shape[0] / b.n_coords(problem),
+                nnz_share=(local.nnz / matrix.nnz) if matrix.nnz else 0.0,
+            ),
+            streamer,
+        )
+
+    def bind(self, problem, rank: int, *, weights=None, tracer=None) -> BoundWorker:
+        """Bind rank ``rank``, starting from ``weights[coords]`` (else zeros)."""
+        sl, streamer = self.slice(problem, rank, tracer)
+        return self.binder.bind(sl, weights=weights, streamer=streamer, tracer=tracer)
+
+    def bind_all(self, problem, *, weights=None, tracer=None) -> list[BoundWorker]:
+        return [
+            self.bind(problem, rank, weights=weights, tracer=tracer)
+            for rank in range(self.n_workers)
+        ]
 
 
 def shared_sizing(formulation: str, problem, paper_scale) -> tuple[int, int, int]:
@@ -271,9 +528,13 @@ class LocalSolver(Protocol):
 
     Implementations wrap the existing kernel machinery:
     ``core.distributed._ScdWorkerPool`` binds :class:`KernelFactory` kernels
-    (CPU sequential or planned TPA-SCD GPU engines);
+    (CPU sequential or planned TPA-SCD GPU engines) through a
+    :class:`WorkerBinder` — the same per-rank binder the asynchronous
+    parameter server and the real-process children use;
     ``core.distributed_svm._SvmWorkerPool`` runs the inline clipped-SDCA
-    step.  All methods are rank-addressed; the pool owns the worker state.
+    step on partitions and seeds from the same planner
+    (:func:`plan_partitions`, :func:`worker_rng`).  All methods are
+    rank-addressed; the pool owns the worker state.
     """
 
     n_workers: int
@@ -481,39 +742,60 @@ class InProcessBackend:
         self.solver.close()
 
 
+def _serve_rank(conn, binder: WorkerBinder, sl: RankSlice) -> None:
+    """Child process: bind one rank's slice, then serve epoch requests.
+
+    Protocol: the child reports ``None`` once bound (or the exception its
+    bind raised); the parent then sends ``("epoch", shared)`` and receives
+    ``(dshared, dmodel, stats, elapsed_s)``, answered with the round's
+    gamma (0 for a lost update); ``("stop", None)`` exits.
+    """
+    try:
+        wk = binder.bind(sl)
+    except Exception as exc:  # re-raised in the parent by PipeProcessBackend.open
+        conn.send(exc)
+        conn.close()
+        return
+    conn.send(None)
+    while True:
+        msg, shared = conn.recv()
+        if msg == "stop":
+            break
+        t0 = time.perf_counter()
+        dshared, dmodel, _ = wk.local_round(shared)
+        stats = wk.delivery_stats(dmodel)
+        conn.send((dshared, dmodel, stats, time.perf_counter() - t0))
+        wk.fold(conn.recv(), dmodel)
+    conn.close()
+
+
 class PipeProcessBackend:
     """Real ``multiprocessing`` workers over pipes; time is real wall-clock.
 
-    The parent broadcasts the shared vector, children run one local epoch and
-    reply ``(dshared, dweights, stats, elapsed)``; after aggregation the
-    parent sends gamma back (0 for a lost update, so the child reverts and
-    stays consistent with the broadcast).  Dropout faults skip the send
-    entirely — the child's permutation stream does not advance, matching the
-    simulated engine's semantics.  Time-only faults (stragglers, retry
-    latency) have no meaning against real wall-clock and are ignored by the
-    caller's :class:`FaultPolicy` configuration (``models_time = False``).
+    The parent cuts each rank's :class:`RankSlice` out of the partition
+    ``plan``; the child binds it through the shared :class:`WorkerBinder`
+    — the same kernels, precompute and permutation streams as the
+    in-process pool, so the two backends agree bitwise.  The parent
+    broadcasts the shared vector, children run one local epoch and reply
+    ``(dshared, dweights, stats, elapsed)``; after aggregation the parent
+    sends gamma back (0 for a lost update, so the child reverts and stays
+    consistent with the broadcast).  Dropout faults
+    skip the send entirely — the child's permutation stream does not
+    advance, matching the simulated engine's semantics.  Time-only faults
+    (stragglers, retry latency) have no meaning against real wall-clock and
+    are ignored by the caller's :class:`FaultPolicy` configuration
+    (``models_time = False``).  An out-of-core rank's shard group is
+    materialized once, in the parent, and held by its child; it never
+    streams.
     """
 
     models_time = False
 
-    def __init__(
-        self,
-        *,
-        ctx,
-        worker_target: Callable,
-        payloads: list[dict],
-        parts: list[np.ndarray],
-        n_model_coords: int,
-        gap_fn: Callable[[np.ndarray], tuple[float, float]],
-    ) -> None:
+    def __init__(self, *, ctx, plan: PartitionPlan) -> None:
         self.ctx = ctx
-        self.worker_target = worker_target
-        self.payloads = payloads
-        self.parts = parts
-        self.n_model_coords = n_model_coords
-        self.gap_fn = gap_fn
-        self.n_workers = len(payloads)
-        self.weights_by_rank = [np.zeros(p.shape[0]) for p in parts]
+        self.plan = plan
+        self.n_workers = plan.n_workers
+        self.weights_by_rank = [np.zeros(p.shape[0]) for p in plan.parts]
         self.pipes: list[Any] = []
         self.procs: list[Any] = []
         self._active: list[int] = []
@@ -523,15 +805,27 @@ class PipeProcessBackend:
         pass
 
     def open(self, problem, tracer) -> None:
-        for payload in self.payloads:
+        # the partition is already cut: children never need the engine's
+        # partitioner (often an unpicklable closure under spawn/forkserver)
+        binder = replace(
+            self.plan.binder, partitioner=random_partition, on_label=None, shards=None
+        )
+        for rank in range(self.n_workers):
+            sl, streamer = self.plan.slice(problem, rank)
+            if streamer is not None:
+                streamer.close()  # the child holds its materialized group
             parent_conn, child_conn = self.ctx.Pipe()
             proc = self.ctx.Process(
-                target=self.worker_target, args=(child_conn, payload), daemon=True
+                target=_serve_rank, args=(child_conn, binder, sl), daemon=True
             )
             proc.start()
             child_conn.close()
             self.pipes.append(parent_conn)
             self.procs.append(proc)
+        for conn in self.pipes:
+            err = conn.recv()  # None once the child holds its bound partition
+            if err is not None:
+                raise err
 
     def run_round(
         self, epoch, shared, plan, report, policy, ledger, comm_bytes, needs_stats
@@ -552,7 +846,7 @@ class PipeProcessBackend:
             dshared, dweights, stats, elapsed = self.pipes[rank].recv()
             wf = plan[rank] if plan is not None else _BENIGN
             out.fault_free_compute_s = max(out.fault_free_compute_s, elapsed)
-            out.n_updates += self.parts[rank].shape[0]
+            out.n_updates += self.plan.parts[rank].shape[0]
             out.worker_wall[rank] = elapsed
             self._dweights[rank] = dweights
             verdict, _ = policy.verdict(wf)
@@ -566,7 +860,7 @@ class PipeProcessBackend:
                     dshared=dshared,
                     dmodel=dweights,
                     compute_s=elapsed,
-                    n_updates=self.parts[rank].shape[0],
+                    n_updates=self.plan.parts[rank].shape[0],
                 )
             )
             out.model_dot += stats[0]
@@ -598,16 +892,19 @@ class PipeProcessBackend:
     def network_seconds(self, nbytes: int, n_scalars: int) -> float:
         return 0.0  # real pipes: network time is inside the measured elapsed
 
-    def global_weights(self) -> np.ndarray:
+    def global_weights(self, problem) -> np.ndarray:
         return scatter_weights(
-            zip(self.parts, self.weights_by_rank), self.n_model_coords
+            zip(self.plan.parts, self.weights_by_rank),
+            self.plan.binder.n_coords(problem),
         )
 
     def gap_objective(self, problem) -> tuple[float, float]:
-        return self.gap_fn(self.global_weights())
+        return gap_and_objective(
+            problem, self.global_weights(problem), self.plan.binder.formulation
+        )
 
     def global_model(self, problem, shared: np.ndarray) -> np.ndarray:
-        return self.global_weights()
+        return self.global_weights(problem)
 
     def close(self) -> None:
         for conn in self.pipes:

@@ -1,7 +1,8 @@
 """The paper's contributions: TPA-SCD, distributed SCD, adaptive aggregation.
 
-Also hosts the extension engines: the asynchronous parameter-server
-alternative and the additional aggregation rules.
+Also hosts the extension engines and the additional aggregation rules; the
+asynchronous parameter-server alternative is ``DistributedSCD(...,
+comm="async")``.
 """
 
 from .aggregation import (
@@ -14,7 +15,6 @@ from .aggregation import (
     ScaledAggregator,
     make_aggregator,
 )
-from .async_ps import AsyncParameterServer
 from .distributed import DistributedSCD, DistributedTrainResult, HostModel
 from .distributed_svm import DistributedSvm, SvmTrainResult
 from .glm_tpa import TpaElasticNet, TpaSvm
@@ -31,7 +31,6 @@ __all__ = [
     "LineSearchAggregator",
     "ScaledAggregator",
     "make_aggregator",
-    "AsyncParameterServer",
     "DistributedSCD",
     "DistributedSvm",
     "DistributedTrainResult",

@@ -11,9 +11,10 @@ One facade covers all three distributed configurations in the paper:
 The synchronous epoch scheme itself — local solve, Reduce, gamma_t
 aggregation, Broadcast, ledger booking — lives in
 :class:`~repro.cluster.runtime.ClusterRuntime`; this module contributes the
-SCD-specific parts: the :class:`_ScdWorkerPool` local-solver adapter that
-binds :class:`KernelFactory` kernels (CPU or GPU) to the worker partitions,
-and the Section V PCIe/host-model pricing passed into the runtime.
+SCD-specific parts: the :class:`_ScdWorkerPool` local-solver adapter over
+:class:`KernelFactory` kernels (CPU or GPU) bound by the runtime's
+:class:`~repro.cluster.runtime.WorkerBinder`, and the Section V
+PCIe/host-model pricing passed into the runtime.
 
 Modelled wall-clock per epoch = max over workers of local compute
 (+ host-side vector handling and PCIe transfers for GPU workers)
@@ -35,21 +36,21 @@ from ..cluster.faults import FaultInjector, FaultReport, FaultSpec, make_fault_i
 from ..cluster.membership import LoadBalancer, MembershipSchedule
 from ..cluster.partition import random_partition
 from ..cluster.runtime import (
+    BoundWorker,
     ClusterRuntime,
     FaultPolicy,
     InProcessBackend,
-    PermutationStream,
     RuntimeProfile,
+    WorkerBinder,
     WorkerUpdate,
-    plan_partitions,
     scatter_weights,
     shared_sizing,
 )
 from ..cluster.smart_partition import make_capacity_partitioner
 from ..objectives.ridge import RidgeProblem, gap_and_objective
 from ..perf.link import Link
-from ..shards import ShardingConfig, ShardStore, ShardStreamer
-from ..solvers.base import BoundKernel, KernelFactory, TrainResult
+from ..shards import ShardingConfig, ShardStore
+from ..solvers.base import KernelFactory, TrainResult
 from .aggregation import Aggregator, make_aggregator
 from .scale import PaperScale
 
@@ -73,21 +74,6 @@ class HostModel:
         return self.vector_passes * shared_len * itemsize / (
             self.bandwidth_gbytes * 1e9
         )
-
-
-@dataclass
-class _WorkerState:
-    coords: np.ndarray
-    bound: BoundKernel
-    weights: np.ndarray
-    y_local: np.ndarray
-    rng: np.random.Generator
-    epoch_compute_s: float
-    #: chained permutations over the local coordinates; shares ``rng`` with
-    #: the kernel so the draw order matches the single stream the paper uses
-    stream: PermutationStream
-    #: out-of-core data path for this worker's shard group (None = in-memory)
-    streamer: ShardStreamer | None = None
 
 
 #: span surface of the asynchronous backend: the parameter server has no
@@ -115,120 +101,45 @@ class DistributedTrainResult(TrainResult):
 class _ScdWorkerPool:
     """LocalSolver adapter: SCD kernel workers for the in-process backend.
 
-    Owns the per-rank :class:`_WorkerState` and implements the runtime's
-    local-round contract: compute against a shared-vector snapshot, report
-    Algorithm 4's worker scalars at delivery time, fold ``gamma * dweights``
-    after aggregation.  A lost update needs no rollback — the scratch
-    weights are simply discarded, the bound state never changed.
+    Owns the per-rank :class:`~repro.cluster.runtime.BoundWorker` s and
+    implements the runtime's local-round contract: compute against a
+    shared-vector snapshot, report Algorithm 4's worker scalars at delivery
+    time, fold ``gamma * dweights`` after aggregation.  A lost update needs
+    no rollback — the scratch weights are simply discarded, the bound state
+    never changed.
     """
 
     def __init__(self, engine: "DistributedSCD") -> None:
         self.engine = engine
+        self.binder = engine._binder()
         self.n_workers = engine.n_workers
-        self.workers: list[_WorkerState] = []
+        self.workers: list[BoundWorker] = []
         #: bumps on every repartition; salts the reborn workers' RNG seeds
         self._generation = 0
 
     def bind(self, problem: RidgeProblem, tracer) -> None:
-        eng = self.engine
-        if eng.formulation == "primal":
-            matrix = problem.dataset.csc
-            n_coords_total = problem.m
-        else:
-            matrix = problem.dataset.csr
-            n_coords_total = problem.n
-        parts, groups = plan_partitions(
-            n_coords_total, eng.n_workers, eng.seed, eng.partitioner,
-            eng.shards, matrix.shape,
-        )
-        total_nnz = matrix.nnz
-        for rank, coords in enumerate(parts):
-            streamer = None
-            if groups is not None:
-                streamer = ShardStreamer(
-                    eng.shards, groups[rank], tracer=tracer, worker=rank
-                )
-                local = streamer.assemble()
-            else:
-                local = matrix.take_major(coords)
-            factory = eng._factory_for(rank)
-            if tracer is not None and tracer.enabled:
-                # device factories forward the tracer to their wave engines
-                factory.tracer = tracer
-            if streamer is not None:
-                # device factories skip the bulk dataset allocation: the
-                # shard cache books residency against device memory instead
-                factory.out_of_core = True
-            if eng.paper_scale is not None:
-                factory.timing_workload = eng.paper_scale.worker_workload(
-                    eng.formulation,
-                    coords.shape[0] / n_coords_total,
-                    (local.nnz / total_nnz) if total_nnz else 0.0,
-                )
-            if eng.formulation == "primal":
-                bound = factory.bind_primal(local, problem.y, problem.n, problem.lam)
-                y_local = problem.y
-            else:
-                y_local = problem.y[coords]
-                bound = factory.bind_dual(local, y_local, problem.n, problem.lam)
-            if streamer is not None:
-                device = getattr(factory, "device", None)
-                if device is not None:
-                    # residency competes with the solver's vectors on-device;
-                    # attach after bind so the reset device is the budget
-                    streamer.attach_device(device.memory)
-            if not eng._solver_label:
-                eng._solver_label = factory.name
-            rng = np.random.default_rng(eng.seed + 1000 + rank)
-            self.workers.append(
-                _WorkerState(
-                    coords=coords,
-                    bound=bound,
-                    weights=np.zeros(coords.shape[0], dtype=bound.dtype),
-                    y_local=y_local.astype(bound.dtype, copy=False),
-                    rng=rng,
-                    epoch_compute_s=bound.epoch_seconds(),
-                    stream=PermutationStream(coords.shape[0], rng),
-                    streamer=streamer,
-                )
-            )
+        self.repartition(problem, tracer, self.n_workers)
 
     def local_round(self, rank: int, shared: np.ndarray) -> WorkerUpdate:
         wk = self.workers[rank]
         round_fraction = self.engine.round_fraction
-        local_shared = shared.astype(wk.bound.dtype)
-        weights_work = wk.weights.copy()
-        n_round = max(1, int(round(round_fraction * wk.coords.shape[0])))
-        perm = wk.stream.take(n_round)
-        wk.bound.run_epoch(weights_work, local_shared, perm, wk.rng)
+        dshared, dmodel, n_updates = wk.local_round(shared, round_fraction)
         return WorkerUpdate(
             rank=rank,
-            dshared=local_shared.astype(np.float64) - shared,
-            dmodel=(weights_work - wk.weights).astype(np.float64),
-            compute_s=wk.epoch_compute_s * round_fraction,
-            n_updates=perm.shape[0],
+            dshared=dshared,
+            dmodel=dmodel,
+            compute_s=wk.epoch_seconds * round_fraction,
+            n_updates=n_updates,
             component=wk.bound.timing.component,
         )
 
     def delivery_stats(
         self, rank: int, upd: WorkerUpdate
     ) -> tuple[float, float, float]:
-        wk = self.workers[rank]
-        w64 = wk.weights.astype(np.float64)
-        dy = 0.0
-        if self.engine.formulation == "dual":
-            dy = float(upd.dmodel @ wk.y_local.astype(np.float64))
-        return (
-            float(w64 @ upd.dmodel),
-            float(upd.dmodel @ upd.dmodel),
-            dy,
-        )
+        return self.workers[rank].delivery_stats(upd.dmodel)
 
     def fold(self, rank: int, gamma: float, upd: WorkerUpdate) -> None:
-        wk = self.workers[rank]
-        wk.weights = (wk.weights.astype(np.float64) + gamma * upd.dmodel).astype(
-            wk.bound.dtype
-        )
+        self.workers[rank].fold(gamma, upd.dmodel)
 
     def discard(self, rank: int, upd: WorkerUpdate) -> None:
         pass  # scratch weights were never folded; nothing to roll back
@@ -242,97 +153,29 @@ class _ScdWorkerPool:
     def repartition(
         self, problem: RidgeProblem, tracer, n_workers: int, capacities=None
     ) -> None:
-        """Elastic membership: re-deal the coordinates over ``n_workers``.
+        """(Re-)deal the coordinates over ``n_workers`` and bind them.
 
-        The learned global model is assembled first and every new worker
-        starts from its slice of it, so the reshuffle moves no information —
-        only ownership.  Out-of-core runs stay shard-aligned (the new parts
-        are the store's ``n_workers``-way shard groups); in-memory runs use
-        measured ``capacities`` (load-proportional) when given, else the
-        engine's partitioner.  Worker RNG streams restart at a
-        generation-salted seed: a departed worker's stream must not be
-        replayed by whichever rank inherits its coordinates.
+        The initial bind is generation 0 from zero weights.  Every later call
+        is an elastic repartition: the learned global model is assembled
+        first and every new worker starts from its slice of it, so the
+        reshuffle moves no information — only ownership.  The partition and
+        the reborn workers' generation-salted RNG streams come from the
+        engine's :class:`~repro.cluster.runtime.WorkerBinder`.
         """
-        eng = self.engine
-        if eng.formulation == "primal":
-            matrix = problem.dataset.csc
-            n_coords_total = problem.m
-        else:
-            matrix = problem.dataset.csr
-            n_coords_total = problem.n
-        global_w = self.global_weights(problem)
-        for wk in self.workers:
-            if wk.streamer is not None:
-                wk.streamer.close()
-        self._generation += 1
-        gen = self._generation
-        groups = None
-        if eng.shards is not None:
-            groups = eng.shards.store.partition(n_workers)
-            parts = [eng.shards.store.coords_of(g) for g in groups]
-        else:
-            rng = np.random.default_rng(eng.seed + 7_000_000 + 10_000 * gen)
-            if capacities is not None:
-                from ..cluster.smart_partition import load_proportional_partition
-
-                parts = load_proportional_partition(
-                    n_coords_total, capacities, rng
-                )
-            else:
-                parts = list(eng.partitioner(n_coords_total, n_workers, rng))
-        total_nnz = matrix.nnz
-        self.workers = []
-        for rank, coords in enumerate(parts):
-            streamer = None
-            if groups is not None:
-                streamer = ShardStreamer(
-                    eng.shards, groups[rank], tracer=tracer, worker=rank
-                )
-                local = streamer.assemble()
-            else:
-                local = matrix.take_major(coords)
-            factory = eng._factory_for(rank)
-            if tracer is not None and tracer.enabled:
-                factory.tracer = tracer
-            if streamer is not None:
-                factory.out_of_core = True
-            if eng.paper_scale is not None:
-                factory.timing_workload = eng.paper_scale.worker_workload(
-                    eng.formulation,
-                    coords.shape[0] / n_coords_total,
-                    (local.nnz / total_nnz) if total_nnz else 0.0,
-                )
-            if eng.formulation == "primal":
-                bound = factory.bind_primal(local, problem.y, problem.n, problem.lam)
-                y_local = problem.y
-            else:
-                y_local = problem.y[coords]
-                bound = factory.bind_dual(local, y_local, problem.n, problem.lam)
-            if streamer is not None:
-                device = getattr(factory, "device", None)
-                if device is not None:
-                    streamer.attach_device(device.memory)
-            rng = np.random.default_rng(
-                eng.seed + 1000 + rank + 100_000 * gen
-            )
-            self.workers.append(
-                _WorkerState(
-                    coords=coords,
-                    bound=bound,
-                    weights=global_w[coords].astype(bound.dtype),
-                    y_local=y_local.astype(bound.dtype, copy=False),
-                    rng=rng,
-                    epoch_compute_s=bound.epoch_seconds(),
-                    stream=PermutationStream(coords.shape[0], rng),
-                    streamer=streamer,
-                )
-            )
+        weights = None
+        if self.workers:
+            weights = self.global_weights(problem)
+            self.close()
+            self._generation += 1
+        self.workers = self.binder.plan(
+            problem, n_workers, self._generation, capacities
+        ).bind_all(problem, weights=weights, tracer=tracer)
         self.n_workers = int(n_workers)
 
     def global_weights(self, problem: RidgeProblem) -> np.ndarray:
-        n_coords = problem.m if self.engine.formulation == "primal" else problem.n
         return scatter_weights(
-            ((wk.coords, wk.weights) for wk in self.workers), n_coords
+            ((wk.coords, wk.weights) for wk in self.workers),
+            self.binder.n_coords(problem),
         )
 
     def global_model(self, problem: RidgeProblem, shared: np.ndarray) -> np.ndarray:
@@ -528,6 +371,19 @@ class DistributedSCD:
         if not self._solver_label:
             self._solver_label = label
 
+    def _binder(self) -> WorkerBinder:
+        return WorkerBinder(
+            formulation=self.formulation,
+            factory_for=self._factory_for,
+            seed=self.seed,
+            # the asynchronous schedule keeps its own worker-seed offset
+            rng_base=2000 if self.comm_mode == "async" else 1000,
+            partitioner=self.partitioner,
+            shards=self.shards,
+            paper_scale=self.paper_scale,
+            on_label=self._set_label,
+        )
+
     # -- training ------------------------------------------------------------------
     def solve(
         self,
@@ -539,18 +395,14 @@ class DistributedSCD:
         tracer=None,
         on_epoch=None,
     ) -> DistributedTrainResult:
-        pool = None
         if self.comm_mode == "async":
-            backend = AsyncParamServerBackend(
+            # the parameter server holds its bound workers itself
+            backend = pool = AsyncParamServerBackend(
                 self.comm,
-                self._factory_for,
-                self.formulation,
+                self._binder(),
                 batch_fraction=self.batch_fraction,
                 comm_overlap=self.comm_overlap,
                 staleness_bound=self.staleness_bound,
-                paper_scale=self.paper_scale,
-                seed=self.seed,
-                on_label=self._set_label,
             )
             profile = _ASYNC_PROFILE
         else:
@@ -585,19 +437,13 @@ class DistributedSCD:
         )
         self._last_report = rt.report
         self.membership_log = rt.membership_log
-        if self.comm_mode == "async":
-            weights = backend.global_weights(problem)
-            partitions = [wk["coords"] for wk in backend.workers]
-        else:
-            weights = pool.global_weights(problem)
-            partitions = [wk.coords for wk in pool.workers]
         return DistributedTrainResult(
             formulation=self.formulation,
-            weights=weights,
+            weights=pool.global_weights(problem),
             shared=rt.shared,
             history=rt.history,
             ledger=rt.ledger,
-            partitions=partitions,
+            partitions=[wk.coords for wk in pool.workers],
             solver_name=self.name,
             gammas=rt.gammas,
             fault_report=rt.report,

@@ -20,9 +20,8 @@ the CPU cost models and the binomial-tree communicator.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +29,6 @@ from ..cluster.comm import SimCommunicator
 from ..cluster.faults import FaultInjector, FaultReport, FaultSpec, make_fault_injector
 from ..cluster.membership import LoadBalancer, MembershipSchedule
 from ..cluster.partition import random_partition
-from ..cluster.smart_partition import load_proportional_partition
 from ..cluster.runtime import (
     ClusterRuntime,
     FaultPolicy,
@@ -38,6 +36,7 @@ from ..cluster.runtime import (
     RuntimeProfile,
     WorkerUpdate,
     plan_partitions,
+    worker_rng,
 )
 from ..cpu import XEON_8C, CpuSpec, SequentialCpuTiming
 from ..objectives.svm import SvmProblem
@@ -50,17 +49,6 @@ from .scale import PaperScale
 
 __all__ = ["DistributedSvm", "SvmTrainResult"]
 
-#: once-per-process latch for the tuple-unpacking deprecation below — the
-#: warning must fire exactly once, not once per result object, so a training
-#: sweep over many runs does not flood stderr
-_TUPLE_UNPACK_WARNED = False
-
-
-def _reset_tuple_unpack_warning() -> None:
-    """Re-arm the once-per-process deprecation latch (test helper)."""
-    global _TUPLE_UNPACK_WARNED
-    _TUPLE_UNPACK_WARNED = False
-
 _SVM_PROFILE = RuntimeProfile(
     bind_span=False,
     local_compute_span=False,
@@ -71,12 +59,7 @@ _SVM_PROFILE = RuntimeProfile(
 
 @dataclass(kw_only=True)
 class SvmTrainResult(TrainResult):
-    """SVM outcome: the canonical shape plus the dual variables.
-
-    Iterating yields ``(w, alpha, history, ledger)`` so legacy
-    tuple-unpacking call sites keep working; that path is deprecated —
-    read the named :class:`~repro.solvers.base.TrainResult` fields instead.
-    """
+    """SVM outcome: the canonical shape plus the dual variables."""
 
     alpha: np.ndarray
     fault_report: FaultReport | None = None
@@ -86,18 +69,6 @@ class SvmTrainResult(TrainResult):
     def primal_weights(self, problem=None) -> np.ndarray:
         """The SVM's shared vector *is* the primal model."""
         return self.weights
-
-    def __iter__(self) -> Iterator:
-        global _TUPLE_UNPACK_WARNED
-        if not _TUPLE_UNPACK_WARNED:
-            _TUPLE_UNPACK_WARNED = True
-            warnings.warn(
-                "tuple-unpacking SvmTrainResult is deprecated; use the named "
-                "fields (.weights, .alpha, .history, .ledger) instead",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-        return iter((self.weights, self.alpha, self.history, self.ledger))
 
 
 class _SvmWorkerPool:
@@ -119,15 +90,11 @@ class _SvmWorkerPool:
         self.timing: SequentialCpuTiming | None = None
         self._generation = 0
 
-    def _bind_worker(
-        self, rank, rows, csr, y, tracer, groups, rng_seed, alpha_global=None
-    ) -> dict:
+    def _bind_worker(self, rank, rows, csr, y, tracer, group, alpha_global) -> dict:
         eng = self.engine
         streamer = None
-        if groups is not None:
-            streamer = ShardStreamer(
-                eng.shards, groups[rank], tracer=tracer, worker=rank
-            )
+        if group is not None:
+            streamer = ShardStreamer(eng.shards, group, tracer=tracer, worker=rank)
             local = streamer.assemble()
         else:
             local = csr.take_rows(rows)
@@ -143,27 +110,15 @@ class _SvmWorkerPool:
             "norms": local.row_norms_sq().astype(np.float64),
             "y": y[rows],
             "alpha": alpha,
-            "rng": np.random.default_rng(rng_seed),
+            "rng": worker_rng(eng.seed, 1000, rank, self._generation),
             "nnz": local.nnz,
             "streamer": streamer,
         }
 
     def bind(self, problem: SvmProblem, tracer) -> None:
-        eng = self.engine
         self.problem = problem
-        csr = problem.dataset.csr
-        parts, groups = plan_partitions(
-            problem.n, eng.n_workers, eng.seed, eng.partitioner,
-            eng.shards, csr.shape,
-        )
-        y = problem.y.astype(np.float64)
-        for rank, rows in enumerate(parts):
-            self.workers.append(
-                self._bind_worker(
-                    rank, rows, csr, y, tracer, groups, eng.seed + 1000 + rank
-                )
-            )
-        self.timing = SequentialCpuTiming(eng.spec)
+        self.timing = SequentialCpuTiming(self.engine.spec)
+        self.repartition(problem, tracer, self.n_workers)
 
     def partition_sizes(self) -> list[int]:
         return [wk["rows"].shape[0] for wk in self.workers]
@@ -171,38 +126,31 @@ class _SvmWorkerPool:
     def repartition(
         self, problem: SvmProblem, tracer, n_workers: int, capacities=None
     ) -> None:
-        """Elastic membership: re-deal the examples across ``n_workers``.
+        """(Re-)deal the examples across ``n_workers`` and bind them.
 
-        The learned dual variables are preserved — the global ``alpha`` is
-        assembled from the departing pool and sliced back out along the new
-        partition, so the run continues from the same dual point.  Reborn
-        workers draw from generation-salted RNG streams (a rank id is reused
-        across generations; its permutation stream must not be).
+        The initial bind is generation 0 from zero dual variables.  On an
+        elastic repartition the learned dual variables are preserved — the
+        global ``alpha`` is assembled from the departing pool and sliced
+        back out along the new partition, so the run continues from the
+        same dual point.  Partitions and generation-salted RNG streams come
+        from the runtime's shared planner.
         """
         eng = self.engine
-        alpha_global = self.alpha_global()
-        for wk in self.workers:
-            if wk["streamer"] is not None:
-                wk["streamer"].close()
-        self._generation += 1
-        gen = self._generation
+        alpha_global = None
+        if self.workers:
+            alpha_global = self.alpha_global()
+            self.close()
+            self._generation += 1
         csr = problem.dataset.csr
-        if eng.shards is not None:
-            groups = eng.shards.store.partition(n_workers)
-            parts = [eng.shards.store.coords_of(g) for g in groups]
-        else:
-            groups = None
-            rng = np.random.default_rng(eng.seed + 7_000_000 + 10_000 * gen)
-            if capacities is not None:
-                parts = load_proportional_partition(problem.n, capacities, rng)
-            else:
-                parts = eng.partitioner(problem.n, n_workers, rng)
+        parts, groups = plan_partitions(
+            problem.n, n_workers, eng.seed, eng.partitioner, eng.shards,
+            csr.shape, generation=self._generation, capacities=capacities,
+        )
         y = problem.y.astype(np.float64)
         self.workers = [
             self._bind_worker(
-                rank, rows, csr, y, tracer, groups,
-                eng.seed + 1000 + rank + 100_000 * gen,
-                alpha_global=alpha_global,
+                rank, rows, csr, y, tracer,
+                None if groups is None else groups[rank], alpha_global,
             )
             for rank, rows in enumerate(parts)
         ]
@@ -372,8 +320,7 @@ class DistributedSvm:
         tracer=None,
         on_epoch=None,
     ) -> SvmTrainResult:
-        """Train; returns a :class:`SvmTrainResult` (the legacy
-        ``(w, alpha, history, ledger)`` tuple-unpack is deprecated)."""
+        """Train; returns a :class:`SvmTrainResult`."""
         pool = _SvmWorkerPool(self)
         runtime = ClusterRuntime(
             backend=InProcessBackend(self.comm, pool),

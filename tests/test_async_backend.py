@@ -1,17 +1,14 @@
 """The async parameter server as a CommBackend (``comm="async"``).
 
-The retired ``repro.core.async_ps`` engine re-landed on the runtime's
-CommBackend seam; these tests pin the seam-level guarantees the golden
-replay (``async-dual-k3`` in ``tests/test_runtime.py``) cannot see: the
-deprecation shim's latch, the facade/shim bitwise equivalence, the
-bounded-staleness pull schedule, fault semantics (dropout/straggler only —
-pushes are atomic), elastic membership through the server, and the
-``train()`` front door.
+The parameter server lives on the runtime's CommBackend seam and binds its
+workers through the engine's shared ``WorkerBinder``; these tests pin the
+seam-level guarantees the golden replay (``async-dual-k3`` in
+``tests/test_runtime.py``) cannot see: the bounded-staleness pull schedule,
+fault semantics (dropout/straggler only — pushes are atomic), elastic
+membership through the server, and the ``train()`` front door.
 """
 
 from __future__ import annotations
-
-import warnings
 
 import numpy as np
 import pytest
@@ -20,9 +17,8 @@ import repro
 from repro.cluster.async_backend import AsyncParamServerBackend
 from repro.cluster.faults import FaultSpec
 from repro.cluster.membership import MembershipSchedule
-from repro.core import AsyncParameterServer, DistributedSCD
-from repro.core import async_ps as async_ps_module
-from repro.core.async_ps import _reset_async_ps_warning
+from repro.cluster.comm import SimCommunicator
+from repro.core import DistributedSCD
 from repro.data import make_webspam_like
 from repro.objectives import RidgeProblem
 from repro.solvers.scd import SequentialKernelFactory
@@ -42,66 +38,13 @@ def _async_engine(k=3, bf=0.25, **kw):
 
 
 # ---------------------------------------------------------------------------
-# the deprecation shim
-# ---------------------------------------------------------------------------
-class TestDeprecationShim:
-    def test_warns_once_per_process(self):
-        _reset_async_ps_warning()
-        with pytest.warns(DeprecationWarning, match="comm='async'"):
-            AsyncParameterServer(SequentialKernelFactory(), "dual", n_workers=2)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            AsyncParameterServer(SequentialKernelFactory(), "dual", n_workers=2)
-
-    def test_reset_rearms_the_latch(self):
-        _reset_async_ps_warning()
-        with pytest.warns(DeprecationWarning):
-            AsyncParameterServer(SequentialKernelFactory(), "dual", n_workers=2)
-        _reset_async_ps_warning()
-        with pytest.warns(DeprecationWarning):
-            AsyncParameterServer(SequentialKernelFactory(), "dual", n_workers=2)
-
-    def test_shim_matches_facade_bitwise(self):
-        """The shim is a pure forwarder: same seeds, same trajectory."""
-        problem = _ridge()
-        _reset_async_ps_warning()
-        with pytest.warns(DeprecationWarning):
-            shim = AsyncParameterServer(
-                SequentialKernelFactory(), "dual", n_workers=3,
-                batch_fraction=0.25, seed=7,
-            )
-        old = shim.solve(problem, 3)
-        new = _async_engine(3).solve(problem, 3)
-        np.testing.assert_array_equal(old.weights, new.weights)
-        np.testing.assert_array_equal(old.shared, new.shared)
-        assert [r.gap for r in old.history.records] == [
-            r.gap for r in new.history.records
-        ]
-        assert [r.sim_time for r in old.history.records] == [
-            r.sim_time for r in new.history.records
-        ]
-
-    def test_shim_surface(self):
-        _reset_async_ps_warning()
-        with pytest.warns(DeprecationWarning):
-            shim = AsyncParameterServer(
-                SequentialKernelFactory(), "dual", n_workers=3,
-                batch_fraction=0.25, seed=7,
-            )
-        assert shim.n_workers == 3
-        assert shim.batch_fraction == 0.25
-        assert shim.formulation == "dual"
-        assert shim.seed == 7
-        res = shim.solve(_ridge(), 2)
-        assert shim.name == "AsyncPS[SCD(1 thread) x3, b=0.25, dual]"
-        assert res.solver_name == shim.name
-        assert async_ps_module._ASYNC_PS_WARNED is True
-
-
-# ---------------------------------------------------------------------------
 # the facade's async mode
 # ---------------------------------------------------------------------------
 class TestAsyncFacade:
+    def test_solver_name(self):
+        res = _async_engine(3).solve(_ridge(), 2)
+        assert res.solver_name == "AsyncPS[SCD(1 thread) x3, b=0.25, dual]"
+
     def test_async_has_no_gammas(self):
         res = _async_engine(3).solve(_ridge(), 3)
         assert res.gammas == []
@@ -191,12 +134,10 @@ class TestBoundedStaleness:
         assert res.history.final_gap() < 1e-3
 
     def test_backend_validation(self):
-        from repro.cluster.comm import SimCommunicator
-
         with pytest.raises(ValueError, match="staleness_bound"):
             AsyncParamServerBackend(
-                SimCommunicator(2), lambda r: SequentialKernelFactory(),
-                "dual", staleness_bound=-1,
+                SimCommunicator(2), _async_engine(2)._binder(),
+                staleness_bound=-1,
             )
 
 
@@ -252,9 +193,7 @@ class TestAsyncElastic:
     def test_resize_preserves_server_state(self):
         problem = _ridge()
         backend = AsyncParamServerBackend(
-            __import__("repro.cluster.comm", fromlist=["SimCommunicator"])
-            .SimCommunicator(3),
-            lambda r: SequentialKernelFactory(), "dual", seed=7,
+            SimCommunicator(3), _async_engine(3)._binder()
         )
         from repro.obs import resolve_tracer
 
@@ -262,13 +201,11 @@ class TestAsyncElastic:
         backend.open(problem, tracer)
         rng = np.random.default_rng(0)
         for wk in backend.workers:
-            wk["weights"][:] = rng.standard_normal(wk["weights"].shape[0])
+            wk.weights[:] = rng.standard_normal(wk.weights.shape[0])
         before = backend.global_weights(problem)
         backend.resize(problem, tracer, 5)
         np.testing.assert_array_equal(before, backend.global_weights(problem))
-        owned = np.sort(
-            np.concatenate([wk["coords"] for wk in backend.workers])
-        )
+        owned = np.sort(np.concatenate([wk.coords for wk in backend.workers]))
         np.testing.assert_array_equal(owned, np.arange(problem.n))
 
 

@@ -1,19 +1,24 @@
-"""Tests for the asynchronous parameter-server engine."""
+"""Convergence behaviour of the asynchronous parameter server.
+
+Runs through ``DistributedSCD(..., comm="async")``; the seam-level
+guarantees are in ``tests/test_async_backend.py``.
+"""
 
 import numpy as np
 import pytest
 
-from repro.core import WEBSPAM_PAPER, AsyncParameterServer, DistributedSCD
+from repro.core import WEBSPAM_PAPER, DistributedSCD
 from repro.solvers.scd import SequentialKernelFactory
 
 
 def _engine(formulation="dual", k=4, bf=1 / 16, **kw):
-    return AsyncParameterServer(
+    return DistributedSCD(
         SequentialKernelFactory(),
         formulation,
         n_workers=k,
         batch_fraction=bf,
         seed=7,
+        comm="async",
         **kw,
     )
 
@@ -89,7 +94,7 @@ class TestAsyncParameterServer:
 
     def test_validation(self, ridge_sparse):
         with pytest.raises(ValueError, match="formulation"):
-            AsyncParameterServer(SequentialKernelFactory(), "diagonal")
+            DistributedSCD(SequentialKernelFactory(), "diagonal", comm="async")
         with pytest.raises(ValueError, match="batch_fraction"):
             _engine(bf=0.0)
         with pytest.raises(ValueError, match="comm_overlap"):

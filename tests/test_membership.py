@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.cluster.async_backend import AsyncParamServerBackend
 from repro.cluster.faults import FaultSpec, make_fault_injector
 from repro.cluster.membership import (
     LoadBalancer,
@@ -184,6 +185,14 @@ def _fresh_pool(problem, k, seed=7):
     return pool
 
 
+def _fresh_async_backend(problem, k, seed=7):
+    eng = _engine("dual", k, comm="async")
+    eng.seed = seed
+    backend = AsyncParamServerBackend(eng.comm, eng._binder())
+    backend.open(problem, resolve_tracer(None))
+    return backend
+
+
 @settings(max_examples=15, deadline=None)
 @given(
     sizes=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
@@ -191,20 +200,26 @@ def _fresh_pool(problem, k, seed=7):
 )
 def test_repartition_preserves_exactly_once_ownership(sizes, seed):
     """join -> leave -> join sequences: every row owned by exactly one rank,
-    and the assembled global model is preserved bitwise at every step."""
+    and the assembled global model is preserved bitwise at every step — for
+    the synchronous SCD pool and the async parameter server alike, since
+    both repartition through the one shared planner."""
     problem = _ridge()
-    pool = _fresh_pool(problem, 3, seed=seed)
-    rng = np.random.default_rng(seed)
-    for wk in pool.workers:
-        wk.weights[:] = rng.standard_normal(wk.weights.shape[0])
     tracer = resolve_tracer(None)
-    for k in sizes:
-        before = pool.global_weights(problem)
-        pool.repartition(problem, tracer, k)
-        owned = np.sort(np.concatenate([wk.coords for wk in pool.workers]))
-        np.testing.assert_array_equal(owned, np.arange(problem.n))
-        after = pool.global_weights(problem)
-        np.testing.assert_array_equal(before, after)
+    pool = _fresh_pool(problem, 3, seed=seed)
+    backend = _fresh_async_backend(problem, 3, seed=seed)
+    for workers, resize in (
+        (pool, pool.repartition),
+        (backend, backend.resize),
+    ):
+        rng = np.random.default_rng(seed)
+        for wk in workers.workers:
+            wk.weights[:] = rng.standard_normal(wk.weights.shape[0])
+        for k in sizes:
+            before = workers.global_weights(problem)
+            resize(problem, tracer, k)
+            owned = np.sort(np.concatenate([wk.coords for wk in workers.workers]))
+            np.testing.assert_array_equal(owned, np.arange(problem.n))
+            np.testing.assert_array_equal(before, workers.global_weights(problem))
     pool.close()
 
 

@@ -62,7 +62,49 @@ class TestMpMatchesSimulation:
             assert np.array_equal(a, b)
 
 
+class TestSpawnContext:
+    """Children bind from a picklable per-rank slice, so start methods that
+    pickle the process arguments (spawn, forkserver) run the same solve."""
+
+    def test_closure_partitioner_matches_fork_bitwise(self, problem):
+        from repro.cluster.smart_partition import make_capacity_partitioner
+
+        partitioner = make_capacity_partitioner([3.0, 1.0])  # a local closure
+        runs = {
+            ctx: MpDistributedSCD(
+                "dual", n_workers=2, aggregation="adaptive", seed=7,
+                mp_context=ctx, partitioner=partitioner,
+            ).solve(problem, 3)
+            for ctx in ("fork", "spawn")
+        }
+        assert [p.shape[0] for p in runs["spawn"].partitions] == [
+            p.shape[0] for p in runs["fork"].partitions
+        ]
+        assert np.array_equal(runs["spawn"].weights, runs["fork"].weights)
+        assert np.array_equal(runs["spawn"].shared, runs["fork"].shared)
+
+
+def _failing_factory(rank):
+    raise ValueError(f"rank {rank} cannot bind")
+
+
 class TestMpMechanics:
+    def test_child_bind_error_reaches_the_parent(self, problem):
+        import multiprocessing as mp
+
+        from repro.cluster.runtime import PipeProcessBackend, WorkerBinder
+
+        plan = WorkerBinder(
+            formulation="dual", factory_for=_failing_factory, seed=0, rng_base=1000
+        ).plan(problem, 2)
+        backend = PipeProcessBackend(ctx=mp.get_context("fork"), plan=plan)
+        with pytest.raises(ValueError, match="rank 0 cannot bind"):
+            backend.open(problem, None)
+        procs = list(backend.procs)
+        backend.close()
+        assert len(procs) == 2 and not any(proc.is_alive() for proc in procs)
+
+
     def test_converges(self, problem):
         res = MpDistributedSCD("dual", n_workers=2, seed=1).solve(problem, 30)
         assert res.history.final_gap() < 1e-4

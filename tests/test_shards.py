@@ -620,19 +620,34 @@ class TestBitIdentity:
 
 class TestMpClusterShards:
     def test_mp_payloads_match_take_major(self, dataset, rows_store):
-        from repro.cluster.mp_cluster import MpDistributedSCD
+        """Each mp child binds its shard group through the shared binder;
+        the partition handed to the kernel equals ``take_major`` over the
+        same coordinates."""
+        from repro.cluster.runtime import WorkerBinder
 
-        mp_engine = MpDistributedSCD(
-            "dual", n_workers=2, seed=5, shards=rows_store
-        )
+        bound_on = {}
+
+        class Recording(SequentialKernelFactory):
+            def __init__(self, rank):
+                super().__init__()
+                self.rank = rank
+
+            def bind_dual(self, csr, y_local, n_global, lam):
+                bound_on[self.rank] = csr
+                return super().bind_dual(csr, y_local, n_global, lam)
+
         problem = RidgeProblem(dataset, 5e-3)
-        parts = mp_engine._partitions(problem)
-        payloads = mp_engine._payloads(problem, parts)
-        for coords, payload in zip(parts, payloads):
-            expect = dataset.csr.take_rows(coords)
-            assert np.array_equal(payload["indptr"], expect.indptr)
-            assert np.array_equal(payload["indices"], expect.indices)
-            assert np.array_equal(payload["data"], expect.data)
+        plan = WorkerBinder(
+            formulation="dual", factory_for=Recording, seed=5,
+            rng_base=1000, shards=ShardingConfig(rows_store),
+        ).plan(problem, 2)
+        assert plan.groups is not None
+        for rank, coords in enumerate(plan.parts):
+            plan.bind(problem, rank).streamer.close()
+            expect = dataset.csr.take_major(coords)
+            assert np.array_equal(bound_on[rank].indptr, expect.indptr)
+            assert np.array_equal(bound_on[rank].indices, expect.indices)
+            assert np.array_equal(bound_on[rank].data, expect.data)
 
     def test_mp_training_matches_simulated_engine(self, dataset, rows_store):
         from repro.cluster.mp_cluster import MpDistributedSCD

@@ -223,3 +223,35 @@ class TestLoadProportionalPartition:
         comms = [np.array([i]) for i in range(10)]
         with pytest.raises(ValueError, match="2 capacities for 3 parts"):
             pack_communities(comms, 3, capacities=[1.0, 1.0])
+
+
+class TestEnginePartitions:
+    """Both comm modes bind through one planner: the engine's partitioner
+    (including the ``capacities=`` shortcut) decides the worker shares."""
+
+    @pytest.fixture(scope="class")
+    def dual_problem(self):
+        from repro.data import make_webspam_like
+
+        return RidgeProblem(
+            make_webspam_like(200, 300, nnz_per_example=8, seed=3), lam=5e-3
+        )
+
+    @pytest.mark.parametrize("comm", ["sync", "async"])
+    def test_capacities_size_the_partitions(self, dual_problem, comm):
+        res = DistributedSCD(
+            SequentialKernelFactory(), "dual", n_workers=2, seed=7,
+            comm=comm, capacities=[3.0, 1.0],
+        ).solve(dual_problem, 1)
+        assert [p.shape[0] for p in res.partitions] == [150, 50]
+
+    @pytest.mark.parametrize("comm", ["sync", "async"])
+    def test_custom_partitioner_is_honoured(self, dual_problem, comm):
+        def skewed(n, k, rng):
+            return [np.arange(10), np.arange(10, n)]
+
+        res = DistributedSCD(
+            SequentialKernelFactory(), "dual", n_workers=2, seed=7,
+            comm=comm, partitioner=skewed,
+        ).solve(dual_problem, 1)
+        assert [p.shape[0] for p in res.partitions] == [10, 190]
