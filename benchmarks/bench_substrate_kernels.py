@@ -2,8 +2,9 @@
 
 Unlike the figure benches (one end-to-end run each), these use
 pytest-benchmark's statistical timing on the kernels every experiment sits
-on: sparse matvec/rmatvec, the sequential and chunked epoch kernels, the
-thread-block tree reduction, and the CSR<->CSC transpose.
+on: sparse matvec/rmatvec, the exact ridge rule kernel (numpy reference and
+its compiled twin) and the chunked epoch kernel, the thread-block tree
+reduction, and the CSR<->CSC transpose.
 """
 
 import numpy as np
@@ -12,11 +13,8 @@ import pytest
 from repro.data import make_webspam_like
 from repro.gpu import block_tree_dots
 from repro.objectives import RidgeProblem
-from repro.solvers.kernels import (
-    gather_chunk,
-    primal_epoch_chunked,
-    primal_epoch_sequential,
-)
+from repro.solvers.kernels import gather_chunk, primal_epoch_chunked
+from repro.solvers.syscd_kernels import c_compiler, get_kernels
 from repro.sparse.ops import transpose_compressed
 
 
@@ -48,18 +46,29 @@ def test_kernel_transpose(benchmark, bench_problem):
     assert indptr.shape == (csr.shape[1] + 1,)
 
 
-def test_kernel_sequential_epoch(benchmark, bench_problem):
+@pytest.mark.parametrize(
+    "backend",
+    [
+        "numpy",
+        pytest.param(
+            "c",
+            marks=pytest.mark.skipif(c_compiler() is None, reason="no C compiler"),
+        ),
+    ],
+)
+def test_kernel_sequential_epoch(benchmark, bench_problem, backend):
     p = bench_problem
     csc = p.dataset.csc
     y_dots = csc.rmatvec(p.y)
     nlam = p.n * p.lam
     inv_denom = 1.0 / (csc.col_norms_sq() + nlam)
     perm = np.random.default_rng(0).permutation(p.m)
+    exact = get_kernels(backend)["exact"]
 
     def run():
         beta = np.zeros(p.m)
         w = np.zeros(p.n)
-        primal_epoch_sequential(
+        exact(
             csc.indptr, csc.indices, csc.data, y_dots, inv_denom, nlam,
             beta, w, perm,
         )

@@ -54,6 +54,9 @@ class SolverConfig:
     monitor_every: int = 1
     target_gap: float | None = None
     seed: int = 0
+    #: ridge rule kernel for seq, syscd, the distributed seq local solver
+    #: and the mp workers: "numpy", "numba", "c" or "auto" (bit-identical)
+    kernel_backend: str = "auto"
     # -- async CPU solvers --------------------------------------------------
     n_threads: int = 16
     loss_prob: float = 0.15
@@ -61,7 +64,6 @@ class SolverConfig:
     bucket_size: int | None = None
     merge_every: int = 1
     merge: str = "sum"
-    kernel_backend: str = "auto"
     # -- simulated GPU ------------------------------------------------------
     gpu: GpuSpec = GTX_TITAN_X
     gpu_threads: int = 256
@@ -117,7 +119,7 @@ SOLVER_ALIASES = {
 def _distributed_factory(cfg: SolverConfig):
     """Local-solver factory (or per-rank builder) for the distributed engine."""
     if cfg.local_solver in ("seq", "scd"):
-        return SequentialKernelFactory()
+        return SequentialKernelFactory(kernel_backend=cfg.kernel_backend)
     if cfg.local_solver in ("tpa", "tpa-scd", "gpu"):
         # each rank owns its own simulated device
         return lambda rank: TpaScdKernelFactory(
@@ -191,7 +193,9 @@ def train(
         on_epoch=on_epoch,
     )
     if kind == "seq":
-        engine = SequentialSCD(cfg.formulation, seed=cfg.seed)
+        engine = SequentialSCD(
+            cfg.formulation, kernel_backend=cfg.kernel_backend, seed=cfg.seed
+        )
     elif kind == "a-scd":
         engine = ASCD(cfg.formulation, n_threads=cfg.n_threads, seed=cfg.seed)
     elif kind == "wild":
@@ -247,6 +251,7 @@ def train(
             seed=cfg.seed,
             mp_context=cfg.mp_context,
             faults=cfg.faults,
+            kernel_backend=cfg.kernel_backend,
         )
     else:  # distributed-svm
         engine = DistributedSvm(

@@ -12,7 +12,7 @@ Usage::
     python -m repro shards pack out/          # pack a dataset into a shard set
     python -m repro shards info out/          # inspect a packed shard set
     python -m repro bench                     # pinned epoch micro-benchmarks
-    python -m repro bench --baseline BENCH_PR10.json  # + regression gate
+    python -m repro bench --baseline BENCH_PR13.json  # + regression gate
     python -m repro serve                     # train-to-serve hot-swap demo
     python -m repro eval configs/fig1.toml    # declarative eval -> HTML report
 """
@@ -181,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--out",
         default=None,
         metavar="PATH",
-        help="write the repro.bench/v1 payload to PATH (e.g. BENCH_PR10.json)",
+        help="write the repro.bench/v1 payload to PATH (e.g. BENCH_PR13.json)",
     )
     bench.add_argument(
         "--baseline",

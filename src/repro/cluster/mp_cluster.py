@@ -43,12 +43,14 @@ the simulated engine's degraded-mode *semantics* against real processes.
 from __future__ import annotations
 
 import multiprocessing as mp
+from functools import partial
 
 from ..core.aggregation import make_aggregator
 from ..core.distributed import DistributedTrainResult
 from ..objectives.ridge import RidgeProblem
 from ..shards import ShardingConfig, ShardStore
 from ..solvers.scd import SequentialKernelFactory
+from ..solvers.syscd_kernels import resolve_backend
 from .faults import FaultInjector, FaultSpec, make_fault_injector
 from .partition import random_partition
 from .runtime import (
@@ -70,16 +72,20 @@ _MP_PROFILE = RuntimeProfile(
 )
 
 
-def _sequential_factory(rank: int) -> SequentialKernelFactory:
+def _sequential_factory(
+    rank: int, kernel_backend: str = "auto"
+) -> SequentialKernelFactory:
     # module-level so spawn-context children can unpickle the binder
-    return SequentialKernelFactory()
+    return SequentialKernelFactory(kernel_backend=kernel_backend)
 
 
 class MpDistributedSCD:
     """Algorithm 3/4 executed across real worker processes.
 
     Mirrors the simulation engine's constructor where applicable; local
-    solvers are sequential SCD (the paper's CPU-cluster configuration).
+    solvers are sequential SCD (the paper's CPU-cluster configuration),
+    each child binding the ``kernel_backend`` kernel (children load a built
+    C kernel from its disk cache instead of compiling it again).
     """
 
     def __init__(
@@ -94,6 +100,7 @@ class MpDistributedSCD:
         partitioner=None,
         shards: ShardingConfig | ShardStore | None = None,
         membership=None,
+        kernel_backend: str = "auto",
     ) -> None:
         if formulation not in ("primal", "dual"):
             raise ValueError(f"unknown formulation {formulation!r}")
@@ -104,6 +111,8 @@ class MpDistributedSCD:
         self.aggregator = make_aggregator(aggregation)
         self.seed = int(seed)
         self.faults = make_fault_injector(faults)
+        # resolved here so a missing backend fails in the parent
+        self.kernel_backend = resolve_backend(kernel_backend)
         self.partitioner = partitioner or random_partition
         if isinstance(shards, ShardStore):
             shards = ShardingConfig(store=shards)
@@ -137,7 +146,9 @@ class MpDistributedSCD:
     ) -> DistributedTrainResult:
         plan = WorkerBinder(
             formulation=self.formulation,
-            factory_for=_sequential_factory,
+            factory_for=partial(
+                _sequential_factory, kernel_backend=self.kernel_backend
+            ),
             seed=self.seed,
             # the simulated pool's offset: both backends replay one trajectory
             rng_base=1000,

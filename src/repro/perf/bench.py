@@ -5,7 +5,8 @@ to *guard* kernel throughput: a stray ``np.add.at`` or a per-wave allocation
 could quietly cost 10x and no test would notice.  This module pins a small
 suite of epoch micro-benchmarks over a fixed synthetic problem:
 
-* ``sequential`` — Algorithm 1, single-thread exact SCD (the normalizer);
+* ``sequential`` — Algorithm 1, single-thread exact SCD on the numpy
+  reference kernel (the normalizer);
 * ``chunked`` — the A-SCD chunked-atomic CPU kernel;
 * ``tpa_wave_seed`` — the TPA-SCD wave engine on its per-wave seed path;
 * ``tpa_wave_planned`` — the same engine through the compiled/pooled
@@ -24,7 +25,7 @@ suite of epoch micro-benchmarks over a fixed synthetic problem:
 
 ``run_suite`` writes a ``repro.bench/v1`` payload with the **median**
 wall-clock epoch time per case.  Baselines are committed at the repo root
-as ``BENCH_PR<k>.json`` — one per landmark PR (``BENCH_PR10.json`` is the
+as ``BENCH_PR<k>.json`` — one per landmark PR (``BENCH_PR13.json`` is the
 newest); :func:`latest_baseline` resolves the current one and
 :func:`render_trajectory` shows how each case moved across them.
 Machines differ, so the regression gate compares
@@ -179,11 +180,16 @@ def _bound_epoch_runner(factory, problem, profile: BenchProfile):
 
 
 def _case_sequential(problem, profile: BenchProfile) -> list[float]:
+    """One exact epoch of the numpy reference kernel: every case's divisor.
+
+    Pinned to ``kernel_backend="numpy"`` (like ``syscd_ref``) so the
+    normalization runs the same code on every host; under ``auto`` a
+    compiled kernel would make every other case look slower.
+    """
     from ..solvers.scd import SequentialKernelFactory
 
-    return _time_epochs(
-        _bound_epoch_runner(SequentialKernelFactory(), problem, profile), profile
-    )
+    factory = SequentialKernelFactory(kernel_backend="numpy")
+    return _time_epochs(_bound_epoch_runner(factory, problem, profile), profile)
 
 
 def _case_chunked(problem, profile: BenchProfile) -> list[float]:

@@ -1,12 +1,12 @@
-"""Epoch kernels for stochastic coordinate descent.
+"""Chunked epoch kernels for asynchronous stochastic coordinate descent.
 
-Three execution semantics are implemented, all operating on raw compressed
-arrays for speed (the per-coordinate loop is the hot path of the whole
-library — see the profiling notes in DESIGN.md):
+The exact Algorithm-1 epoch — coordinates visited one at a time, every
+update seeing the fully up-to-date shared vector — is the one ridge rule
+kernel :func:`repro.solvers.syscd_kernels.exact_epoch_numpy` (with its C
+and numba twins), which the sequential solver binds for both formulations.
+This module holds the stale-read execution models, operating on raw
+compressed arrays:
 
-* :func:`primal_epoch_sequential` / :func:`dual_epoch_sequential` — exact
-  Algorithm 1: coordinates are visited one at a time and every update sees
-  the fully up-to-date shared vector.
 * :func:`primal_epoch_chunked` / :func:`dual_epoch_chunked` — the
   asynchronous-CPU model: coordinates are processed in chunks of
   ``chunk_size`` (= number of hardware threads).  All inner products within
@@ -35,75 +35,11 @@ import numpy as np
 from ..sparse.matrix import _ranges_concat
 
 __all__ = [
-    "primal_epoch_sequential",
-    "dual_epoch_sequential",
     "primal_epoch_chunked",
     "dual_epoch_chunked",
     "gather_chunk",
     "apply_chunk_updates",
 ]
-
-
-# ---------------------------------------------------------------------------
-# exact sequential kernels (Algorithm 1)
-# ---------------------------------------------------------------------------
-
-
-def primal_epoch_sequential(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    y_dots: np.ndarray,
-    inv_denom: np.ndarray,
-    nlam: float,
-    beta: np.ndarray,
-    w: np.ndarray,
-    perm: np.ndarray,
-) -> None:
-    """One exact SCD epoch over the permuted feature coordinates.
-
-    Parameters are pre-bound raw arrays:  ``y_dots[m] = <y, a_m>`` and
-    ``inv_denom[m] = 1 / (||a_m||^2 + N lam)`` are precomputed once per
-    training run so the inner loop is three numpy kernel calls per
-    coordinate.  ``beta`` and ``w`` are updated in place.
-    """
-    for m in perm:
-        lo = indptr[m]
-        hi = indptr[m + 1]
-        if lo == hi:
-            # empty column: optimum shrinks the weight towards zero exactly
-            delta = -beta[m] * nlam * inv_denom[m]
-            beta[m] += delta
-            continue
-        idx = indices[lo:hi]
-        v = data[lo:hi]
-        delta = (y_dots[m] - v @ w[idx] - nlam * beta[m]) * inv_denom[m]
-        beta[m] += delta
-        w[idx] += v * delta
-
-
-def dual_epoch_sequential(
-    indptr: np.ndarray,
-    indices: np.ndarray,
-    data: np.ndarray,
-    y: np.ndarray,
-    inv_denom: np.ndarray,
-    lam: float,
-    nlam: float,
-    alpha: np.ndarray,
-    wbar: np.ndarray,
-    perm: np.ndarray,
-) -> None:
-    """One exact SDCA epoch over the permuted example coordinates (Eq. 4)."""
-    for i in perm:
-        lo = indptr[i]
-        hi = indptr[i + 1]
-        idx = indices[lo:hi]
-        v = data[lo:hi]
-        delta = (lam * y[i] - v @ wbar[idx] - nlam * alpha[i]) * inv_denom[i]
-        alpha[i] += delta
-        if lo != hi:
-            wbar[idx] += v * delta
 
 
 # ---------------------------------------------------------------------------

@@ -47,9 +47,7 @@ from .kernels import _epoch_gather
 from .syscd_kernels import (
     auto_bucket_size,
     bucket_bounds,
-    bucket_pass_numpy,
-    exact_epoch_numpy,
-    get_numba_kernels,
+    get_kernels,
     resolve_backend,
 )
 
@@ -140,8 +138,9 @@ class SyscdKernelFactory:
         ``"sum"`` (convergence-safe sum-correction) or ``"mean"`` (replica
         averaging).
     kernel_backend:
-        ``"numpy"``, ``"numba"``, or ``"auto"`` (numba when importable,
-        else numpy; the backends are bit-identical).
+        ``"numpy"``, ``"numba"``, ``"c"``, or ``"auto"`` (C when a
+        compiler is on ``PATH``, else numba when importable, else numpy;
+        the backends are bit-identical).
     """
 
     def __init__(
@@ -177,20 +176,13 @@ class SyscdKernelFactory:
         self.tracer = NULL_TRACER
         self.name = f"SySCD({self.n_threads} threads, {self.backend})"
 
-    # -- kernel selection ---------------------------------------------------
-
-    def _kernels(self):
-        if self.backend == "numba":
-            compiled = get_numba_kernels()
-            return compiled["exact"], compiled["bucket"]
-        return exact_epoch_numpy, bucket_pass_numpy
-
     # -- epoch execution ----------------------------------------------------
 
     def _make_run_epoch(
         self, indptr, indices, data, target, inv_denom, nlam, shared_len, bucket_size
     ):
-        exact_kernel, bucket_kernel = self._kernels()
+        kernels = get_kernels(self.backend)
+        exact_kernel, bucket_kernel = kernels["exact"], kernels["bucket"]
         n_threads = self.n_threads
         merge_every = self.merge_every
         mean_merge = self.merge == "mean"

@@ -55,3 +55,16 @@ def random_csr(rng):
 def random_csc(rng):
     rows, cols, vals = random_coo(rng, 30, 20, 150)
     return from_coo(rows, cols, vals, (30, 20), fmt="csc")
+
+
+@pytest.fixture
+def numpy_kernels(monkeypatch):
+    """Make ``kernel_backend="auto"`` resolve to the numpy reference kernels.
+
+    Patches the numba probe and the compiler lookup, so every factory built
+    during the test (fork-started workers included) binds the numpy kernel.
+    """
+    from repro.solvers import syscd_kernels
+
+    monkeypatch.setattr(syscd_kernels, "numba_available", lambda: False)
+    monkeypatch.setattr(syscd_kernels, "c_compiler", lambda: None)

@@ -35,6 +35,11 @@ class TestElasticGoldenReplay:
                 f"{name}: field {field_name!r} drifted from its golden"
             )
 
+    @pytest.mark.parametrize("name", sorted(ELASTIC_SCENARIOS))
+    def test_bit_identical_on_numpy_kernels(self, name, numpy_kernels):
+        """The goldens hold on the numpy reference kernel too."""
+        assert run_elastic_scenario(name) == GOLDENS[name], name
+
     def test_elastic_scenarios_actually_resize(self):
         """Every membership scenario's log records at least one change."""
         for name in ("elastic-join-leave", "elastic-churn", "elastic-evict",

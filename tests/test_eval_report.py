@@ -87,7 +87,7 @@ class TestBenchSection:
 
         # the dashboard diffs against the *newest* committed landmark
         newest = latest_baseline(".")
-        assert newest is not None and newest.name == "BENCH_PR10.json"
+        assert newest is not None and newest.name == "BENCH_PR13.json"
         baseline = load_payload(newest)
         doc = {
             "experiment": {"id": "bench-rep"},
@@ -105,7 +105,7 @@ class TestBenchSection:
         )
         assert "Kernel bench regression dashboard" in html
         assert "no regressions" in html
-        assert "BENCH_PR10.json" in html
+        assert "BENCH_PR13.json" in html
         assert "sequential" in html and "tpa_wave_planned" in html
         for case in ("chunked", "distributed", "serving", "syscd_threads"):
             assert case in html
@@ -113,7 +113,7 @@ class TestBenchSection:
     def test_dashboard_without_baseline(self, tmp_path):
         from repro.perf.bench import load_payload
 
-        baseline = load_payload("BENCH_PR10.json")
+        baseline = load_payload("BENCH_PR13.json")
         doc = {
             "experiment": {"id": "bench-rep2"},
             "run": {"scale": "tiny"},

@@ -216,8 +216,15 @@ class TestAblations:
 
 class TestExtensionExperiments:
     def test_smart_partition_wins(self):
+        # both curves end at rounding noise (~1e-16), so compare the epoch
+        # each first reaches a gap far above that floor, not the final gaps
         fig = run_smart_partition(MICRO)
-        assert fig.get("correlation-aware").final() < fig.get("random").final()
+
+        def epochs_to(label, gap=1e-10):
+            series = fig.get(label)
+            return next(x for x, y in zip(series.x, series.y) if y <= gap)
+
+        assert epochs_to("correlation-aware") < epochs_to("random")
 
     def test_comm_tradeoff_structure(self):
         fig = run_comm_tradeoff(MICRO)

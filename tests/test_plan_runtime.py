@@ -609,7 +609,7 @@ class TestBenchHarness:
         # the repo root must always resolve to the newest landmark payload
         names = [p.name for p in find_baselines(".")]
         assert names == sorted(names, key=lambda n: int(n[8:-5]))
-        assert latest_baseline(".").name == "BENCH_PR10.json"
+        assert latest_baseline(".").name == "BENCH_PR13.json"
 
     def test_render_trajectory(self, smoke_payload, tmp_path):
         import copy

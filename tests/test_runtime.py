@@ -64,6 +64,15 @@ class TestGoldenReplay:
         for field in want:
             assert got[field] == want[field], f"{name}: {field} diverged"
 
+    @pytest.mark.parametrize("name", sorted(SCENARIOS))
+    def test_bit_identical_on_numpy_kernels(
+        self, name, tmp_path_factory, numpy_kernels
+    ):
+        """The goldens hold on the numpy reference kernel too, so the kernel
+        backend ``auto`` picks on a host changes speed, never trajectories."""
+        got = run_scenario(name, tmp_path_factory.mktemp("runtime-goldens"))
+        assert got == GOLDENS[name], name
+
 
 # ---------------------------------------------------------------------------
 # 2. cross-backend parity: one runtime, two backends, same numbers

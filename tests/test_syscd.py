@@ -27,6 +27,7 @@ from repro.solvers.syscd_kernels import (
     auto_bucket_size,
     bucket_bounds,
     bucket_pass_numpy,
+    c_compiler,
     get_numba_kernels,
     numba_available,
     resolve_backend,
@@ -103,9 +104,13 @@ class TestBackendResolution:
         assert resolve_backend("numpy") == "numpy"
 
     def test_auto_degrades_gracefully(self):
-        # with numba installed auto selects it; without, it must silently
-        # fall back to the bit-identical numpy kernels
-        expected = "numba" if numba_available() else "numpy"
+        # auto prefers the C kernel when a compiler is on PATH, then numba;
+        # without either it must silently fall back to the bit-identical
+        # numpy kernels
+        if c_compiler() is not None:
+            expected = "c"
+        else:
+            expected = "numba" if numba_available() else "numpy"
         assert resolve_backend("auto") == expected
 
     def test_explicit_numba_errors_when_missing(self):
@@ -118,7 +123,7 @@ class TestBackendResolution:
     def test_unknown_backend_rejected(self):
         with pytest.raises(ValueError, match="kernel_backend"):
             resolve_backend("cython")
-        assert set(KERNEL_BACKENDS) == {"numpy", "numba", "auto"}
+        assert set(KERNEL_BACKENDS) == {"numpy", "numba", "c", "auto"}
 
     def test_factory_name_reports_resolved_backend(self):
         factory = SyscdKernelFactory(n_threads=2, kernel_backend="numpy")
@@ -310,6 +315,51 @@ class TestNumbaBitIdentity:
         )
         assert np.array_equal(coef_np, coef_nb)
         assert np.array_equal(replica_np, replica_nb)
+
+
+# ---------------------------------------------------------------------------
+# C backend bit-identity (runs where a C compiler is on PATH)
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.skipif(c_compiler() is None, reason="no C compiler on PATH")
+class TestCBitIdentity:
+    @pytest.mark.parametrize("n_threads", [1, 4])
+    @pytest.mark.parametrize("formulation", ["primal", "dual"])
+    def test_bitwise_equal_to_numpy(self, tiny_problem, formulation, n_threads):
+        runs = [
+            train(
+                tiny_problem, "syscd", formulation=formulation, n_epochs=3,
+                n_threads=n_threads, kernel_backend=backend,
+            )
+            for backend in ("numpy", "c")
+        ]
+        assert np.array_equal(runs[1].weights, runs[0].weights)
+        assert np.array_equal(runs[1].shared, runs[0].shared)
+        assert ", c)" in runs[1].solver_name
+
+
+@pytest.mark.parametrize("formulation", ["primal", "dual"])
+def test_float32_sequential_is_the_numpy_kernel_on_every_backend(
+    tiny_problem, formulation
+):
+    # the compiled loops accumulate in float64, so a float32 bind must run
+    # the numpy kernel whatever backend is asked for (here: every backend
+    # this host offers)
+    backends = ["auto"] + [
+        b for b, ok in (("c", c_compiler() is not None),
+                        ("numba", numba_available())) if ok
+    ]
+    ref = SequentialSCD(
+        formulation, dtype=np.float32, kernel_backend="numpy", seed=2
+    ).solve(tiny_problem, 3)
+    assert ref.weights.dtype == np.float32
+    for backend in backends:
+        res = SequentialSCD(
+            formulation, dtype=np.float32, kernel_backend=backend, seed=2
+        ).solve(tiny_problem, 3)
+        assert res.weights.tobytes() == ref.weights.tobytes(), backend
+        assert res.shared.tobytes() == ref.shared.tobytes(), backend
 
 
 # ---------------------------------------------------------------------------
